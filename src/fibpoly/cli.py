@@ -12,6 +12,7 @@ or lowered with --max-words or the FIBPOLY_MAX_WORDS environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -548,11 +549,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the int/str digit limit (Python >= 3.11) and restore it on exit.
+
+    Exact answers such as word counts run past the default 4300 digits;
+    the limit stays in force while argv is parsed.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _unlimited_int_digits():
+            return args.func(args)
     except EnumerationCapError as exc:
         print(f"fibpoly: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -99,9 +99,11 @@ def brute_force_area_distribution(p: int, max_area: int, cap: int | None = None)
     counts = [0] * (max_area + 1)
     counts[0] = 1
     visited = 0
-
-    def explore(last: int | None, total: int) -> None:
-        nonlocal visited
+    # Depth-first search with an explicit stack of (last digit, digit sum)
+    # nodes; each word is counted when it is pushed.
+    stack: list[tuple[int | None, int]] = [(None, 0)]
+    while stack:
+        last, total = stack.pop()
         for d in successor_digits(p, last):
             s = total + d
             if s > max_area:
@@ -110,7 +112,5 @@ def brute_force_area_distribution(p: int, max_area: int, cap: int | None = None)
             visited += 1
             if visited > cap:
                 raise EnumerationCapError(visited, cap)
-            explore(d, s)
-
-    explore(None, 0)
+            stack.append((d, s))
     return counts

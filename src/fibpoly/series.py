@@ -7,9 +7,31 @@ x-degree only; y, z, q degrees stay finite on their own once x is bounded.
 
 Two independent routes build the joint series: a column-by-column
 transfer recurrence over the height of the last column (``series_F_dp``,
-``series_G_dp``) and formal division of the closed rational forms
-(``closed_form_F``, ``closed_form_G`` fed to ``expand_rational``).  Their
-term-for-term agreement is the central consistency check of the package.
+``series_G_dp``, both thin wrappers of ``column_transfer``) and formal
+division of the closed rational forms (``closed_form_F``,
+``closed_form_G`` fed to ``expand_rational``).  Their term-for-term
+agreement is the central consistency check of the package.
+
+Storage.  A ``TruncatedSeries`` keeps one dict per x-degree 0 .. x_bound.
+Each dict maps a packed integer key to a nonzero coefficient; the key
+holds the (y, z, q) exponents in fixed-width bit fields::
+
+    key = y << 42 | z << 21 | q        (q in bits 0-19, z in bits 21-40)
+
+so multiplying two monomials of the same or different x-layers is one
+integer addition, and integer order of keys is lexicographic order on
+(y, z, q).  z and q each get ``FIELD_BITS`` = 20 bits (exponents up to
+``MAX_FIELD_EXPONENT`` = 2^20 - 1) plus one guard bit above the field;
+y is the top field and is unbounded.  ``Monomial`` objects exist only at
+the API boundary: the ``terms`` view, ``coefficient``,
+``coefficient_of_x``, ``moment``, ``to_text`` and ``to_json_terms``.
+
+Overflow guard.  Packing a z or q exponent above the field, or any
+negative exponent, raises ``ValueError``.  A sum of two stored keys can
+carry a field only into its own guard bit, never into the next field, so
+every layer a product produces (``__mul__``, the layer division in
+``expand_rational``, each step of ``column_transfer``) is checked for set
+guard bits and raises ``ValueError`` instead of wrapping silently.
 
 Canonical term order is graded lexicographic with x > y > z > q; the text
 rendering groups terms by x-degree, e.g. ``1 + y^2*z^3*x + (y^3*z^4 +
@@ -18,8 +40,11 @@ y^4*z^4)*x^2``.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, NamedTuple
 
 from .words import validate_alphabet
 
@@ -62,6 +87,77 @@ UNIT = Monomial()
 
 Terms = dict[Monomial, int]
 
+# ---------------------------------------------------------------------------
+# packed (y, z, q) keys
+
+FIELD_BITS = 20
+MAX_FIELD_EXPONENT = (1 << FIELD_BITS) - 1
+_Z_SHIFT = FIELD_BITS + 1
+_Y_SHIFT = 2 * _Z_SHIFT
+_GUARD_BITS = (1 << FIELD_BITS) | (1 << (FIELD_BITS + _Z_SHIFT))
+
+Layer = dict[int, int]
+_ONE: Layer = {0: 1}
+
+
+def _pack(y: int, z: int, q: int) -> int:
+    if z > MAX_FIELD_EXPONENT or q > MAX_FIELD_EXPONENT:
+        raise ValueError(
+            f"exponents z={z}, q={q} exceed the packed field limit {MAX_FIELD_EXPONENT}"
+        )
+    if y < 0 or z < 0 or q < 0:
+        raise ValueError("exponents must be non-negative")
+    return y << _Y_SHIFT | z << _Z_SHIFT | q
+
+
+def _unpack(key: int) -> tuple[int, int, int]:
+    return key >> _Y_SHIFT, key >> _Z_SHIFT & MAX_FIELD_EXPONENT, key & MAX_FIELD_EXPONENT
+
+
+def _checked(layer: Layer) -> Layer:
+    """Drop zero coefficients; reject a layer whose z or q field overflowed."""
+    if 0 in layer.values():
+        layer = {k: c for k, c in layer.items() if c}
+    if reduce(or_, layer, 0) & _GUARD_BITS:
+        raise ValueError(f"a z or q exponent exceeds the packed field limit {MAX_FIELD_EXPONENT}")
+    return layer
+
+
+def _mul_into(target: Layer, a: Layer, b: Layer, scale: int = 1) -> Layer:
+    """target += scale * a * b for two layers, returning target.
+
+    Zero coefficients are left in place for ``_checked`` to drop.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    get = target.get
+    for kb, cb in b.items():
+        cb *= scale
+        if not target:
+            # shifting by one monomial is injective: nothing to merge yet
+            target.update({ka + kb: ca * cb for ka, ca in a.items()})
+        elif cb == 1:
+            for ka, ca in a.items():
+                k = ka + kb
+                target[k] = get(k, 0) + ca
+        else:
+            for ka, ca in a.items():
+                k = ka + kb
+                target[k] = get(k, 0) + ca * cb
+    return target
+
+
+def _added(a: Layer, b: Layer, sign: int) -> Layer:
+    out = dict(a)
+    get = out.get
+    for k, c in b.items():
+        out[k] = get(k, 0) + sign * c
+    return _checked(out)
+
+
+# ---------------------------------------------------------------------------
+# Monomial-level helpers for building the closed forms
+
 
 def _add_term(target: Terms, mono: Monomial, coeff: int) -> None:
     c = target.get(mono, 0) + coeff
@@ -79,11 +175,8 @@ def _poly_add(a: Terms, b: Terms, sign: int = 1) -> Terms:
 
 
 def _poly_mul(a: Terms, b: Terms) -> Terms:
-    out: Terms = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            _add_term(out, m1.times(m2), c1 * c2)
-    return out
+    bound = max(m.x for m in a) + max(m.x for m in b)
+    return dict(_product(TruncatedSeries(bound, a), TruncatedSeries(bound, b)).terms.items())
 
 
 def _poly_scale(a: Terms, k: int) -> Terms:
@@ -95,27 +188,76 @@ def _x_poly(coeffs: Mapping[int, int]) -> Terms:
     return {Monomial(x=k): c for k, c in coeffs.items() if c}
 
 
+class TermsView(Mapping):
+    """Read-only ``Monomial -> coefficient`` view of a series, built on demand."""
+
+    __slots__ = ("_layers",)
+
+    def __init__(self, layers: list[Layer]):
+        self._layers = layers
+
+    def __len__(self) -> int:
+        return sum(map(len, self._layers))
+
+    def __iter__(self):
+        for x, layer in enumerate(self._layers):
+            for key in layer:
+                yield Monomial(x, *_unpack(key))
+
+    def __getitem__(self, mono) -> int:
+        try:
+            x, y, z, q = mono
+            if not 0 <= x < len(self._layers):
+                raise KeyError(mono)
+            return self._layers[x][_pack(y, z, q)]
+        except (TypeError, ValueError):
+            raise KeyError(mono) from None
+
+    def items(self) -> "_TermsItems":
+        return _TermsItems(self)
+
+    def __repr__(self) -> str:
+        return f"TermsView({dict(self.items())!r})"
+
+
+class _TermsItems(ItemsView):
+    def __iter__(self):
+        for x, layer in enumerate(self._mapping._layers):
+            for key, c in layer.items():
+                yield Monomial(x, *_unpack(key)), c
+
+
 class TruncatedSeries:
     """Multivariate polynomial kept exactly through x-degree ``x_bound``.
 
     Stored terms never carry a zero coefficient or an x-degree above the
-    bound; instances are treated as immutable.
+    bound; instances are treated as immutable.  ``terms`` is a read-only
+    ``Monomial -> coefficient`` view over the packed layers.
     """
 
-    __slots__ = ("x_bound", "terms")
+    __slots__ = ("x_bound", "_layers")
 
     def __init__(self, x_bound: int, terms: Mapping[Monomial, int] | None = None):
         if x_bound < 0:
             raise ValueError(f"x_bound must be >= 0, got {x_bound}")
-        clean: Terms = {}
+        layers: list[Layer] = [{} for _ in range(x_bound + 1)]
         if terms:
             for mono, coeff in terms.items():
-                if not isinstance(mono, Monomial):
-                    mono = Monomial(*mono)
-                if coeff and mono.x <= x_bound:
-                    clean[mono] = coeff
+                x, y, z, q = mono if isinstance(mono, Monomial) else Monomial(*mono)
+                if x < 0:
+                    raise ValueError("exponents must be non-negative")
+                if coeff and x <= x_bound:
+                    layers[x][_pack(y, z, q)] = coeff
         self.x_bound = x_bound
-        self.terms = clean
+        self._layers = layers
+
+    @classmethod
+    def _of(cls, x_bound: int, layers: list[Layer]) -> "TruncatedSeries":
+        """Wrap already checked layers, one per x-degree 0 .. x_bound."""
+        series = cls.__new__(cls)
+        series.x_bound = x_bound
+        series._layers = layers
+        return series
 
     @classmethod
     def zero(cls, x_bound: int) -> "TruncatedSeries":
@@ -129,6 +271,10 @@ class TruncatedSeries:
     def single(cls, x_bound: int, coeff: int = 1, **exponents: int) -> "TruncatedSeries":
         return cls(x_bound, {Monomial.from_exponents(exponents): coeff})
 
+    @property
+    def terms(self) -> TermsView:
+        return TermsView(self._layers)
+
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if not isinstance(other, TruncatedSeries):
             raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
@@ -137,26 +283,22 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        return TruncatedSeries(self.x_bound, _poly_add(self.terms, other.terms))
+        return self._of(self.x_bound, [_added(a, b, 1) for a, b in zip(self._layers, other._layers)])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        return TruncatedSeries(self.x_bound, _poly_add(self.terms, other.terms, sign=-1))
+        return self._of(
+            self.x_bound, [_added(a, b, -1) for a, b in zip(self._layers, other._layers)]
+        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        out: Terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1.x + m2.x > self.x_bound:
-                    continue
-                _add_term(out, m1.times(m2), c1 * c2)
-        return TruncatedSeries(self.x_bound, out)
+        return _product(self, other)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.x_bound == other.x_bound and self.terms == other.terms
+        return self.x_bound == other.x_bound and self._layers == other._layers
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(x_bound={self.x_bound}, {self.to_text()})"
@@ -165,22 +307,29 @@ class TruncatedSeries:
         """Drop every term of x-degree above the (smaller or equal) new bound."""
         if x_bound > self.x_bound:
             raise ValueError("cannot raise the truncation bound of an existing series")
-        return TruncatedSeries(x_bound, self.terms)
+        if x_bound < 0:
+            raise ValueError(f"x_bound must be >= 0, got {x_bound}")
+        return self._of(x_bound, self._layers[: x_bound + 1])
 
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(mono, 0)
 
+    def _layer(self, n: int) -> Layer:
+        return self._layers[n] if 0 <= n <= self.x_bound else {}
+
     def coefficient_of_x(self, n: int) -> Terms:
         """The coefficient of x^n as a polynomial in y, z, q."""
-        return {m._replace(x=0): c for m, c in self.terms.items() if m.x == n}
+        return {Monomial(0, *_unpack(k)): c for k, c in self._layer(n).items()}
 
     def univariate_coefficients(self) -> list[int]:
         """Coefficients by x-degree; requires a series in x alone."""
         coeffs = [0] * (self.x_bound + 1)
-        for mono, c in self.terms.items():
-            if mono.y or mono.z or mono.q:
-                raise ValueError(f"series is not univariate in x: contains {mono}")
-            coeffs[mono.x] = c
+        for x, layer in enumerate(self._layers):
+            for key, c in layer.items():
+                if key:
+                    mono = Monomial(x, *_unpack(key))
+                    raise ValueError(f"series is not univariate in x: contains {mono}")
+                coeffs[x] = c
         return coeffs
 
     def substitute_one(self, *variables: str) -> "TruncatedSeries":
@@ -188,11 +337,20 @@ class TruncatedSeries:
         for v in variables:
             if v not in VARIABLES:
                 raise ValueError(f"unknown variable {v!r}")
-        out: Terms = {}
-        for mono, c in self.terms.items():
-            reduced = Monomial(**{v: e for v, e in zip(VARIABLES, mono) if v not in variables})
-            _add_term(out, reduced, c)
-        return TruncatedSeries(self.x_bound, out)
+        keep = -1
+        if "y" in variables:
+            keep &= (1 << _Y_SHIFT) - 1
+        if "z" in variables:
+            keep &= ~(MAX_FIELD_EXPONENT << _Z_SHIFT)
+        if "q" in variables:
+            keep &= ~MAX_FIELD_EXPONENT
+        out: list[Layer] = [{} for _ in self._layers]
+        for x, layer in enumerate(self._layers):
+            target = out[0 if "x" in variables else x]
+            for key, c in layer.items():
+                key &= keep
+                target[key] = target.get(key, 0) + c
+        return self._of(self.x_bound, [_checked(layer) for layer in out])
 
     def moment(self, variable: str, n: int) -> int:
         """Sum of coefficient times ``variable`` exponent over the x^n terms.
@@ -202,27 +360,31 @@ class TruncatedSeries:
         """
         if variable not in VARIABLES:
             raise ValueError(f"unknown variable {variable!r}")
-        idx = VARIABLES.index(variable)
-        return sum(c * mono[idx] for mono, c in self.terms.items() if mono.x == n)
+        layer = self._layer(n)
+        if variable == "x":
+            return n * sum(layer.values())
+        idx = VARIABLES.index(variable) - 1
+        return sum(c * _unpack(key)[idx] for key, c in layer.items())
 
     def to_text(self) -> str:
         """Canonical text form, terms grouped by ascending x-degree."""
-        if not self.terms:
-            return "0"
-        groups: dict[int, list[tuple[Monomial, int]]] = {}
-        for mono, c in self.terms.items():
-            groups.setdefault(mono.x, []).append((mono._replace(x=0), c))
+        ys, zs, qs = _Powers("y"), _Powers("z"), _Powers("q")
         rendered: list[tuple[bool, str]] = []
-        for n in sorted(groups):
-            entries = sorted(groups[n], key=lambda item: item[0].grlex_key())
-            if len(entries) == 1:
-                mono, c = entries[0]
-                rendered.append((c < 0, _term_text(abs(c), mono._replace(x=n))))
+        for n, layer in enumerate(self._layers):
+            if not layer:
+                continue
+            terms = [(c, (ys[y] + zs[z] + qs[q])[1:]) for _, _, y, z, q, c in _grlex_rows(layer)]
+            if len(terms) == 1:
+                c, body = terms[0]
+                if n:
+                    body = (f"{body}*" if body else "") + _power("x", n)
+                rendered.append((c < 0, _term_text(abs(c), body)))
             elif n == 0:
-                rendered.append((False, _joined_terms(entries)))
+                rendered.append((False, _joined_terms(terms)))
             else:
-                xs = "x" if n == 1 else f"x^{n}"
-                rendered.append((False, f"({_joined_terms(entries)})*{xs}"))
+                rendered.append((False, f"({_joined_terms(terms)})*{_power('x', n)}"))
+        if not rendered:
+            return "0"
         pieces = []
         for i, (negative, text) in enumerate(rendered):
             if i == 0:
@@ -233,8 +395,23 @@ class TruncatedSeries:
 
     def to_json_terms(self) -> list[dict]:
         """JSON-ready term list in ascending graded lexicographic order."""
-        ordered = sorted(self.terms.items(), key=lambda item: item[0].grlex_key())
-        return [{"exponents": m.exponents(), "coefficient": c} for m, c in ordered]
+        rows = [(deg + x, x, key, y, z, q, c)
+                for x, layer in enumerate(self._layers)
+                for deg, key, y, z, q, c in _grlex_rows(layer)]
+        rows.sort()
+        out = []
+        for _, x, _, y, z, q, c in rows:
+            exponents = {}
+            if x:
+                exponents["x"] = x
+            if y:
+                exponents["y"] = y
+            if z:
+                exponents["z"] = z
+            if q:
+                exponents["q"] = q
+            out.append({"exponents": exponents, "coefficient": c})
+        return out
 
     @classmethod
     def from_json_terms(cls, x_bound: int, data: Iterable[Mapping]) -> "TruncatedSeries":
@@ -245,21 +422,54 @@ class TruncatedSeries:
         return cls(x_bound, terms)
 
 
-def _monomial_text(mono: Monomial, include_x: bool = True) -> str:
-    parts = []
-    for var in ("y", "z", "q"):
-        e = getattr(mono, var)
-        if e == 1:
-            parts.append(var)
-        elif e > 1:
-            parts.append(f"{var}^{e}")
-    if include_x and mono.x:
-        parts.append("x" if mono.x == 1 else f"x^{mono.x}")
-    return "*".join(parts)
+def _product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The truncated product of two series with the same bound, layer by layer."""
+    bound = a.x_bound
+    left = [(i, layer) for i, layer in enumerate(a._layers) if layer]
+    right = [(j, layer) for j, layer in enumerate(b._layers) if layer]
+    if len(left) < len(right):
+        left, right = right, left
+    out: list[Layer] = [{} for _ in range(bound + 1)]
+    for i, layer_a in left:
+        for j, layer_b in right:
+            if i + j > bound:
+                break
+            _mul_into(out[i + j], layer_a, layer_b)
+    return TruncatedSeries._of(bound, [_checked(layer) for layer in out])
 
 
-def _term_text(coeff: int, mono: Monomial, include_x: bool = True) -> str:
-    body = _monomial_text(mono, include_x)
+def _grlex_rows(layer: Layer) -> list[tuple[int, int, int, int, int, int]]:
+    """(degree, key, y, z, q, coefficient) rows of one layer in grlex order.
+
+    Keys order (y, z, q) lexicographically and are distinct, so sorting the
+    rows compares degree and key only.
+    """
+    rows = []
+    for key, c in layer.items():
+        y, z, q = key >> _Y_SHIFT, key >> _Z_SHIFT & MAX_FIELD_EXPONENT, key & MAX_FIELD_EXPONENT
+        rows.append((y + z + q, key, y, z, q, c))
+    rows.sort()
+    return rows
+
+
+class _Powers(dict):
+    """Memo of "*var^e" factor texts: "" for e = 0, "*var" for e = 1."""
+
+    def __init__(self, var: str):
+        super().__init__()
+        self.var = var
+
+    def __missing__(self, e: int) -> str:
+        text = f"*{_power(self.var, e)}" if e else ""
+        self[e] = text
+        return text
+
+
+def _power(var: str, e: int) -> str:
+    return var if e == 1 else f"{var}^{e}"
+
+
+def _term_text(coeff: int, body: str) -> str:
     if not body:
         return str(coeff)
     if coeff == 1:
@@ -267,10 +477,10 @@ def _term_text(coeff: int, mono: Monomial, include_x: bool = True) -> str:
     return f"{coeff}*{body}"
 
 
-def _joined_terms(entries: list[tuple[Monomial, int]]) -> str:
+def _joined_terms(terms: list[tuple[int, str]]) -> str:
     pieces = []
-    for i, (mono, c) in enumerate(entries):
-        text = _term_text(abs(c), mono, include_x=False)
+    for i, (c, body) in enumerate(terms):
+        text = _term_text(abs(c), body)
         if i == 0:
             pieces.append(f"-{text}" if c < 0 else text)
         else:
@@ -295,13 +505,6 @@ class RationalGF:
         return expand_rational(self, x_bound)
 
 
-def _x_layers(terms: Terms) -> dict[int, Terms]:
-    layers: dict[int, Terms] = {}
-    for mono, c in terms.items():
-        layers.setdefault(mono.x, {})[mono._replace(x=0)] = c
-    return layers
-
-
 def expand_rational(gf: RationalGF, x_bound: int) -> TruncatedSeries:
     """Power-series expansion of ``gf`` in x, exact through x^x_bound.
 
@@ -311,34 +514,27 @@ def expand_rational(gf: RationalGF, x_bound: int) -> TruncatedSeries:
     """
     if x_bound < 0:
         raise ValueError(f"x_bound must be >= 0, got {x_bound}")
-    den_layers = _x_layers(gf.denominator)
-    if den_layers.get(0) != {UNIT: 1}:
+    denominator = TruncatedSeries(x_bound, gf.denominator)
+    den = denominator._layers
+    if den[0] != _ONE:
         raise ValueError(
             "denominator must be 1 plus terms of positive x-degree to expand by x"
         )
-    num_layers = _x_layers(gf.numerator)
-    max_shift = max(den_layers)
+    numerator = TruncatedSeries(x_bound, gf.numerator)
+    shifts = [k for k in range(1, x_bound + 1) if den[k]]
 
-    layers: list[Terms] = []
-    for n in range(x_bound + 1):
-        layer = dict(num_layers.get(n, {}))
-        for k in range(1, min(n, max_shift) + 1):
-            dk = den_layers.get(k)
-            if not dk:
-                continue
-            for m1, c1 in dk.items():
-                for m2, c2 in layers[n - k].items():
-                    _add_term(layer, m1.times(m2), -c1 * c2)
-        layers.append(layer)
+    layers: list[Layer] = []
+    for n, layer in enumerate(numerator._layers):
+        layer = dict(layer)
+        for k in shifts:
+            if k > n:
+                break
+            if layers[n - k]:
+                _mul_into(layer, den[k], layers[n - k], -1)
+        layers.append(_checked(layer))
+    series = TruncatedSeries._of(x_bound, layers)
 
-    terms: Terms = {}
-    for n, layer in enumerate(layers):
-        for mono, c in layer.items():
-            terms[mono._replace(x=n)] = c
-    series = TruncatedSeries(x_bound, terms)
-
-    product = series * TruncatedSeries(x_bound, gf.denominator)
-    if product != TruncatedSeries(x_bound, gf.numerator):
+    if series * denominator != numerator:
         raise ArithmeticError("expansion failed the re-multiplication check")
     return series
 
@@ -383,37 +579,56 @@ def closed_form_G(p: int) -> RationalGF:
     return RationalGF(numerator, denominator)
 
 
-def series_F_dp(p: int, x_bound: int) -> TruncatedSeries:
-    """Joint (length, area, semi-perimeter) series by column transfer.
+def column_transfer(
+    p: int, x_bound: int, start: Monomial, step: Callable[[int, int], Monomial]
+) -> TruncatedSeries:
+    """Series of all words, built one column at a time.
 
     Maintains, per height i of the last column, the series of polyominoes
-    ending at that height, and extends one column at a time: a descent to
-    height i multiplies by x y^i z, a reset to height p after height j by
-    x y^p z^(p+1-j).  Must agree with expanding ``closed_form_F`` exactly.
+    ending at that height.  ``start`` weighs the first column (height p);
+    ``step(j, i)`` weighs a column of height i placed after one of height
+    j, for the descent i = j - 1 and the reset i = p.  Weights are read in
+    y, z, q only: every column contributes one x.  The empty word
+    contributes 1.
     """
     validate_alphabet(p)
     if x_bound < 0:
         raise ValueError(f"x_bound must be >= 0, got {x_bound}")
-    total: Terms = {UNIT: 1}
-    state: dict[int, Terms] = {i: {} for i in range(1, p + 1)}
-    state[p] = {Monomial(x=1, y=p, z=p + 1): 1}
+
+    def weight(mono: Monomial) -> Layer:
+        return {_pack(mono.y, mono.z, mono.q): 1}
+
+    descents = {j: weight(step(j, j - 1)) for j in range(2, p + 1)}
+    resets = {j: weight(step(j, p)) for j in range(1, p + 1)}
+    state: dict[int, Layer] = {p: weight(start)}
+    layers: list[Layer] = [{0: 1}]
     for length in range(1, x_bound + 1):
         if length > 1:
-            new: dict[int, Terms] = {}
-            for i in range(1, p):
-                step = Monomial(x=1, y=i, z=1)
-                new[i] = {m.times(step): c for m, c in state[i + 1].items()}
-            top: Terms = {}
-            for j in range(1, p + 1):
-                step = Monomial(x=1, y=p, z=p + 1 - j)
-                for mono, c in state[j].items():
-                    _add_term(top, mono.times(step), c)
-            new[p] = top
-            state = new
-        for poly in state.values():
-            for mono, c in poly.items():
-                _add_term(total, mono, c)
-    return TruncatedSeries(x_bound, total)
+            top: Layer = {}
+            for j, prev in state.items():
+                _mul_into(top, prev, resets[j])
+            state = {j - 1: _mul_into({}, prev, descents[j]) for j, prev in state.items() if j > 1}
+            state[p] = top
+        layer = dict(state[p])
+        for i, poly in state.items():
+            if i != p:
+                _mul_into(layer, poly, _ONE)
+        # coefficients are positive counts, so every state key is checked here
+        layers.append(_checked(layer))
+    return TruncatedSeries._of(x_bound, layers)
+
+
+def series_F_dp(p: int, x_bound: int) -> TruncatedSeries:
+    """Joint (length, area, semi-perimeter) series by column transfer.
+
+    A column of height i adds y^i and one horizontal unit of
+    semi-perimeter, plus the rise over the previous column: a descent to
+    height i marks y^i z, a reset to height p after height j marks
+    y^p z^(p+1-j).  Must agree with expanding ``closed_form_F`` exactly.
+    """
+    return column_transfer(
+        p, x_bound, Monomial(y=p, z=p + 1), lambda j, i: Monomial(y=i, z=1 + max(i - j, 0))
+    )
 
 
 def series_G_dp(p: int, x_bound: int) -> TruncatedSeries:
@@ -423,29 +638,7 @@ def series_G_dp(p: int, x_bound: int) -> TruncatedSeries:
     min(i, j) - 1 inner points, so descents to height i mark q^(i-1) and
     resets after height j mark q^(j-1).
     """
-    validate_alphabet(p)
-    if x_bound < 0:
-        raise ValueError(f"x_bound must be >= 0, got {x_bound}")
-    total: Terms = {UNIT: 1}
-    state: dict[int, Terms] = {i: {} for i in range(1, p + 1)}
-    state[p] = {Monomial(x=1): 1}
-    for length in range(1, x_bound + 1):
-        if length > 1:
-            new: dict[int, Terms] = {}
-            for i in range(1, p):
-                step = Monomial(x=1, q=i - 1)
-                new[i] = {m.times(step): c for m, c in state[i + 1].items()}
-            top: Terms = {}
-            for j in range(1, p + 1):
-                step = Monomial(x=1, q=j - 1)
-                for mono, c in state[j].items():
-                    _add_term(top, mono.times(step), c)
-            new[p] = top
-            state = new
-        for poly in state.values():
-            for mono, c in poly.items():
-                _add_term(total, mono, c)
-    return TruncatedSeries(x_bound, total)
+    return column_transfer(p, x_bound, UNIT, lambda j, i: Monomial(q=min(i, j) - 1))
 
 
 def gf_total_area(p: int) -> RationalGF:

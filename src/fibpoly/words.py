@@ -13,6 +13,7 @@ larger alphabets.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -52,11 +53,13 @@ def fibonacci_number(p: int, n: int) -> int:
         return 0
     if n == 1:
         return 1
-    # values[k] holds the term at index k - (p - 2), seeded for -p+2 .. 1
-    values = [0] * (p - 1) + [1]
+    # F(n+1) = 2 F(n) - F(n-p), over a window of the last p + 1 terms; the
+    # seed is the window for indices -p+1 .. 1, where F(-p+1) = 1 makes the
+    # first step give F(2) = F(1) = 1
+    window = deque([1] + [0] * (p - 1) + [1], maxlen=p + 1)
     for _ in range(2, n + 1):
-        values.append(sum(values[-p:]))
-    return values[-1]
+        window.append(2 * window[-1] - window[0])
+    return window[-1]
 
 
 def is_valid_word(p: int, digits: Sequence[int]) -> bool:
@@ -152,17 +155,22 @@ def iter_word_digits(p: int, n: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()
         return
-
-    def extend(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
+    # Depth-first over the successor tree with an explicit stack of
+    # (depth, digit) choices.  The children are those of successor_digits,
+    # inlined because this loop runs once per tree node; they are pushed
+    # largest first, so they pop in ascending order.
+    prefix: list[int] = []
+    stack = [(1, p)]
+    while stack:
+        depth, d = stack.pop()
+        del prefix[depth - 1 :]
+        prefix.append(d)
+        if depth == n:
             yield tuple(prefix)
-            return
-        for d in successor_digits(p, prefix[-1]):
-            prefix.append(d)
-            yield from extend(prefix)
-            prefix.pop()
-
-    yield from extend([p])
+        else:
+            stack.append((depth + 1, p))
+            if d > 1:
+                stack.append((depth + 1, d - 1))
 
 
 def count_words(p: int, n: int) -> int:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import jsonschema
 import pytest
@@ -16,7 +17,7 @@ from fibpoly.cli import (
     run_verification,
     table_discrepancies,
 )
-from fibpoly.words import FibWord
+from fibpoly.words import FibWord, count_words
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +58,36 @@ def test_count_invalid_input(capsys):
     assert "p must be" in err
 
 
+def _decimal_digits(value):
+    """str(value) past the int/str digit limit, with the limit restored after."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_count_beyond_int_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    expected = _decimal_digits(count_words(2, 50000))
+    assert len(expected) == 10450
+    code, out, err = run_cli(capsys, "count", "--p", "2", "--n", "50000")
+    assert (code, out, err) == (EXIT_OK, expected + "\n", "")
+    code, out, _ = run_cli(capsys, "count", "--p", "2", "--n", "50000", "--format", "json")
+    assert code == EXIT_OK
+    assert out == f'{{"command": "count", "count": {expected}, "n": 50000, "p": 2}}\n'
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_argv_keeps_the_int_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit):
+        main(["count", "--p", "2", "--n", "9" * (limit + 1)])
+    capsys.readouterr()
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_words_plain(capsys):
     code, out, _ = run_cli(capsys, "words", "--p", "3", "--n", "4")
     assert code == EXIT_OK
@@ -70,6 +101,13 @@ def test_words_json(capsys):
     check_schema(payload)
     assert payload["words"] == ["212", "221", "222"]
     assert payload["count"] == 3
+
+
+def test_words_p1_long_word(capsys):
+    # one word per length for p = 1; enumeration must not recurse per digit
+    code, out, _ = run_cli(capsys, "words", "--p", "1", "--n", "3000")
+    assert code == EXIT_OK
+    assert out == "1" * 3000 + "\n"
 
 
 def test_words_cap_exit_code(capsys):

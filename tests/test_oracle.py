@@ -12,6 +12,7 @@ from fibpoly import (
     FibWord,
     Monomial,
     PickReport,
+    area_count_sequence,
     brute_force_area_distribution,
     brute_force_generating_series,
     lattice_stats,
@@ -99,3 +100,8 @@ def test_area_distribution_counts_empty_word():
 def test_area_distribution_respects_cap():
     with pytest.raises(EnumerationCapError):
         brute_force_area_distribution(2, 25, cap=50)
+
+
+def test_area_distribution_deep_p1_search():
+    # p = 1 words are 1^n, so the search reaches depth max_area
+    assert brute_force_area_distribution(1, 3000) == area_count_sequence(1, 3000)

@@ -1,0 +1,157 @@
+"""Property tests for the packed-exponent series kernel.
+
+The reference implementations below keep series as plain
+``Monomial -> coefficient`` dicts, the representation the kernel replaced,
+so every property compares the packed layers against the naive arithmetic.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibpoly.series import (
+    MAX_FIELD_EXPONENT,
+    Monomial,
+    RationalGF,
+    TruncatedSeries,
+    closed_form_F,
+    closed_form_G,
+    column_transfer,
+    expand_rational,
+    series_F_dp,
+    series_G_dp,
+)
+
+M = Monomial
+UNIT = Monomial()
+
+
+def naive_mul(a, b, x_bound):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1.times(m2)
+            if m.x <= x_bound:
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def naive_transfer(p, x_bound, start, step):
+    """Column transfer over Monomial dicts, one state per last-column height."""
+    total = {UNIT: 1}
+    state = {p: {start._replace(x=1): 1}} if x_bound else {}
+    for length in range(1, x_bound + 1):
+        if length > 1:
+            new = {}
+            for j, poly in state.items():
+                targets = ([j - 1] if j > 1 else []) + [p]
+                for i in targets:
+                    w = step(j, i)._replace(x=1)
+                    bucket = new.setdefault(i, {})
+                    for m, c in poly.items():
+                        m = m.times(w)
+                        bucket[m] = bucket.get(m, 0) + c
+            state = new
+        for poly in state.values():
+            for m, c in poly.items():
+                total[m] = total.get(m, 0) + c
+    return total
+
+
+def f_step(j, i):
+    return M(y=i, z=1 + max(i - j, 0))
+
+
+def g_step(j, i):
+    return M(q=min(i, j) - 1)
+
+
+monomials = st.builds(
+    Monomial,
+    x=st.integers(0, 4),
+    y=st.integers(0, 60),
+    z=st.integers(0, 60),
+    q=st.integers(0, 60),
+)
+term_dicts = st.dictionaries(monomials, st.integers(-50, 50), max_size=12)
+
+
+@settings(deadline=None)
+@given(p=st.integers(1, 8), order=st.integers(0, 12))
+def test_transfer_equals_closed_form(p, order):
+    assert series_F_dp(p, order) == expand_rational(closed_form_F(p), order)
+    assert series_G_dp(p, order) == expand_rational(closed_form_G(p), order)
+
+
+@pytest.mark.parametrize("p, order", [(2, 60), (5, 45)])
+def test_transfer_equals_closed_form_at_higher_order(p, order):
+    # long enough that each expansion divides through many layers
+    assert series_F_dp(p, order) == expand_rational(closed_form_F(p), order)
+    assert series_G_dp(p, order) == expand_rational(closed_form_G(p), order)
+
+
+@given(terms=term_dicts, x_bound=st.integers(0, 4))
+def test_json_terms_roundtrip(terms, x_bound):
+    series = TruncatedSeries(x_bound, terms)
+    assert TruncatedSeries.from_json_terms(x_bound, series.to_json_terms()) == series
+
+
+@given(a=term_dicts, b=term_dicts, x_bound=st.integers(0, 4))
+def test_product_matches_monomial_arithmetic(a, b, x_bound):
+    product = TruncatedSeries(x_bound, a) * TruncatedSeries(x_bound, b)
+    clean = [{m: c for m, c in t.items() if c and m.x <= x_bound} for t in (a, b)]
+    assert product.terms == naive_mul(*clean, x_bound)
+
+
+@pytest.mark.parametrize(
+    "build, reference",
+    [
+        (lambda: series_F_dp(3, 7), lambda: naive_transfer(3, 7, M(y=3, z=4), f_step)),
+        (lambda: series_F_dp(1, 5), lambda: naive_transfer(1, 5, M(y=1, z=2), f_step)),
+        (lambda: series_G_dp(4, 8), lambda: naive_transfer(4, 8, UNIT, g_step)),
+        (lambda: expand_rational(closed_form_F(2), 9), lambda: naive_transfer(2, 9, M(y=2, z=3), f_step)),
+    ],
+)
+def test_terms_view_equals_monomial_dict(build, reference):
+    series = build()
+    expected = reference()
+    assert series.terms == expected
+    assert dict(series.terms.items()) == expected
+    assert len(series.terms) == len(expected)
+    assert sorted(series.terms) == sorted(expected)
+    assert all(series.coefficient(m) == c for m, c in expected.items())
+
+
+@given(z1=st.integers(0, MAX_FIELD_EXPONENT), z2=st.integers(0, MAX_FIELD_EXPONENT),
+       field=st.sampled_from(["z", "q"]))
+def test_product_overflow_is_exact(z1, z2, field):
+    a = TruncatedSeries.single(0, **{field: z1})
+    b = TruncatedSeries.single(0, **{field: z2})
+    if z1 + z2 > MAX_FIELD_EXPONENT:
+        with pytest.raises(ValueError):
+            a * b
+    else:
+        assert a * b == TruncatedSeries.single(0, **{field: z1 + z2})
+
+
+def test_overflow_guard_on_packing():
+    for field in ("z", "q"):
+        with pytest.raises(ValueError):
+            TruncatedSeries.single(0, **{field: MAX_FIELD_EXPONENT + 1})
+    with pytest.raises(ValueError):
+        TruncatedSeries(1, {M(x=1, y=-1): 1})
+    # y is the top field and never wraps
+    big = TruncatedSeries.single(0, y=2**40)
+    assert (big * big).terms == {M(y=2**41): 1}
+
+
+def test_overflow_guard_in_division_and_transfer():
+    half = (MAX_FIELD_EXPONENT + 1) // 2
+    gf = RationalGF({UNIT: 1}, {UNIT: 1, M(x=1, q=half): -1})
+    assert expand_rational(gf, 1).coefficient(M(x=1, q=half)) == 1
+    with pytest.raises(ValueError):
+        expand_rational(gf, 2)
+    weight = M(z=half)
+    assert column_transfer(2, 1, weight, lambda j, i: weight).coefficient(M(x=1, z=half)) == 1
+    with pytest.raises(ValueError):
+        column_transfer(2, 2, weight, lambda j, i: weight)

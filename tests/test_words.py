@@ -90,6 +90,23 @@ def test_validity_matches_exhaustive_filter():
             assert brute == set(iter_word_digits(p, n))
 
 
+def test_iter_word_digits_deep_p1():
+    assert list(iter_word_digits(1, 3000)) == [(1,) * 3000]
+
+
+def test_iter_word_digits_matches_successor_tree():
+    def extend(p, n, prefix):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for d in successor_digits(p, prefix[-1]):
+            yield from extend(p, n, prefix + [d])
+
+    for p in range(1, 6):
+        for n in range(1, 9):
+            assert list(iter_word_digits(p, n)) == list(extend(p, n, [p]))
+
+
 def test_fibword_rejects_invalid_digits():
     with pytest.raises(ValueError):
         FibWord(3, (3, 2, 1, 2))
