@@ -55,12 +55,10 @@ from .words import (
     MAX_ALPHABET,
     EnumerationCapError,
     FibWord,
-    WordState,
     count_words,
     enumerate_words,
     fibonacci_number,
     is_valid_word,
-    successors,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +75,6 @@ __all__ = [
     "PickReport",
     "RationalGF",
     "TruncatedSeries",
-    "WordState",
     "aggregate_stats",
     "area",
     "area_count_sequence",
@@ -104,7 +101,6 @@ __all__ = [
     "semiperimeter",
     "series_F_dp",
     "series_G_dp",
-    "successors",
     "total_area_sequence",
     "total_inner_sequence",
     "total_sper_sequence",

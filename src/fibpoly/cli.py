@@ -18,10 +18,10 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
-from . import bijections, geometry, oracle, reference, series, words
+from . import bijections, geometry, reference, series, words
+from .verify import CheckResult, run_verification
 from .words import DEFAULT_WORD_CAP, EnumerationCapError, FibWord
 
 EXIT_OK = 0
@@ -293,153 +293,6 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # verification
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def run_verification(p: int, n_max: int, cap: int | None = None) -> list[CheckResult]:
-    """Cross-check every computation path for one alphabet bound.
-
-    Covers the per-word and aggregate lattice-point identities, equality
-    of the transfer recurrence with the expanded closed forms, the
-    specializations that recover plain word counts, the lattice oracle,
-    both bijection roundtrips, and the area-count recurrence.
-    """
-    checks: list[CheckResult] = []
-    words_by_n = {n: words.enumerate_words(p, n, cap=cap) for n in range(n_max + 1)}
-    total_words = sum(len(ws) for ws in words_by_n.values())
-
-    bad_pick = sum(
-        1
-        for n in range(1, n_max + 1)
-        for w in words_by_n[n]
-        if not geometry.pick_report(w).pick_holds
-    )
-    checks.append(
-        CheckResult(
-            "pick-identity-per-word",
-            bad_pick == 0,
-            f"{total_words} words with n <= {n_max}, {bad_pick} violations",
-        )
-    )
-
-    aggregates = [geometry.aggregate_stats(p, n, cap=cap) for n in range(1, n_max + 1)]
-    agg_ok = all(st.identity_holds and st.count == words.count_words(p, st.n) for st in aggregates)
-    last = aggregates[-1]
-    checks.append(
-        CheckResult(
-            "aggregate-identity",
-            agg_ok,
-            f"n={last.n}: {last.count} = {last.total_inner} + {last.total_sper}"
-            f" - {last.total_area}",
-        )
-    )
-
-    area_seq = series.total_area_sequence(p, n_max)
-    sper_seq = series.total_sper_sequence(p, n_max)
-    inner_seq = series.total_inner_sequence(p, n_max)
-    series_vs_sums = all(
-        (st.total_area, st.total_sper, st.total_inner)
-        == (area_seq[st.n], sper_seq[st.n], inner_seq[st.n])
-        for st in aggregates
-    )
-    checks.append(
-        CheckResult(
-            "totals-vs-series",
-            series_vs_sums,
-            f"three total series against enumerated sums, n <= {n_max}",
-        )
-    )
-
-    dp_f = series.series_F_dp(p, n_max)
-    dp_g = series.series_G_dp(p, n_max)
-    closed_f = series.expand_rational(series.closed_form_F(p), n_max)
-    closed_g = series.expand_rational(series.closed_form_G(p), n_max)
-    checks.append(
-        CheckResult(
-            "transfer-vs-closed-form",
-            dp_f == closed_f and dp_g == closed_g,
-            f"both joint series through x^{n_max}",
-        )
-    )
-
-    expected_counts = [words.count_words(p, n) for n in range(n_max + 1)]
-    f_counts = dp_f.substitute_one("y", "z").univariate_coefficients()
-    g_counts = dp_g.substitute_one("q").univariate_coefficients()
-    checks.append(
-        CheckResult(
-            "count-specialization",
-            f_counts == expected_counts and g_counts == expected_counts,
-            f"y=z=1 and q=1 recover word counts, n <= {n_max}",
-        )
-    )
-
-    lattice_bad = sum(
-        1
-        for n in range(1, n_max + 1)
-        for w in words_by_n[n]
-        if oracle.lattice_stats(w) != geometry.pick_report(w)
-    )
-    checks.append(
-        CheckResult(
-            "lattice-oracle",
-            lattice_bad == 0,
-            f"cell-set statistics vs closed forms on {total_words - 1} words",
-        )
-    )
-
-    oracle_ok = oracle.brute_force_generating_series(
-        p, n_max, "area_sper", cap=cap
-    ) == dp_f and oracle.brute_force_generating_series(p, n_max, "inner", cap=cap) == dp_g
-    checks.append(
-        CheckResult("oracle-series", oracle_ok, f"word-by-word series through x^{n_max}")
-    )
-
-    comp_bad = sum(
-        1
-        for n in range(n_max + 1)
-        for w in words_by_n[n]
-        if bijections.composition_to_word(bijections.word_to_composition(w)) != w
-        or bijections.word_to_composition(w).total() != geometry.area(w)
-    )
-    checks.append(
-        CheckResult(
-            "composition-roundtrip",
-            comp_bad == 0,
-            f"block splitting inverts on {total_words} words",
-        )
-    )
-
-    binary_bad = sum(
-        1
-        for n in range(1, n_max + 1)
-        for w in words_by_n[n]
-        if bijections.binary_to_word(bijections.word_to_binary(w)) != w
-    )
-    checks.append(
-        CheckResult(
-            "binary-roundtrip",
-            binary_bad == 0,
-            f"transition encoding inverts on {total_words - 1} words",
-        )
-    )
-
-    max_area = min(30, p * n_max)
-    counted = oracle.brute_force_area_distribution(p, max_area, cap=cap)
-    checks.append(
-        CheckResult(
-            "area-distribution",
-            counted == series.area_count_sequence(p, max_area),
-            f"parts recurrence vs pruned search, area <= {max_area}",
-        )
-    )
-
-    return checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

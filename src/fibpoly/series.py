@@ -501,9 +501,6 @@ class RationalGF:
         if self.denominator.get(UNIT, 0) != 1:
             raise ValueError("denominator constant term must be 1")
 
-    def expand(self, x_bound: int) -> TruncatedSeries:
-        return expand_rational(self, x_bound)
-
 
 def expand_rational(gf: RationalGF, x_bound: int) -> TruncatedSeries:
     """Power-series expansion of ``gf`` in x, exact through x^x_bound.

@@ -53,6 +53,8 @@ def fibonacci_number(p: int, n: int) -> int:
         return 0
     if n == 1:
         return 1
+    # for p >= n every earlier term is summed, so a larger p gives the same value
+    p = min(p, n)
     # F(n+1) = 2 F(n) - F(n-p), over a window of the last p + 1 terms; the
     # seed is the window for indices -p+1 .. 1, where F(-p+1) = 1 makes the
     # first step give F(2) = F(1) = 1
@@ -118,19 +120,6 @@ class FibWord:
         return cls(p, digits)
 
 
-@dataclass(frozen=True)
-class WordState:
-    """Successor-graph state: the last digit of a word, or None for the empty word."""
-
-    p: int
-    last_digit: int | None = None
-
-    def __post_init__(self):
-        validate_alphabet(self.p)
-        if self.last_digit is not None and not 1 <= self.last_digit <= self.p:
-            raise ValueError(f"last digit {self.last_digit} outside 1..{self.p}")
-
-
 def successor_digits(p: int, last_digit: int | None) -> list[int]:
     """Digits that may extend a word ending in ``last_digit``, ascending.
 
@@ -140,11 +129,6 @@ def successor_digits(p: int, last_digit: int | None) -> list[int]:
     if last_digit is None or last_digit == 1:
         return [p]
     return [last_digit - 1, p]
-
-
-def successors(state: WordState) -> list[WordState]:
-    """States reachable by appending one digit, in canonical (ascending) order."""
-    return [WordState(state.p, d) for d in successor_digits(state.p, state.last_digit)]
 
 
 def iter_word_digits(p: int, n: int) -> Iterator[tuple[int, ...]]:

@@ -6,6 +6,7 @@ import sys
 import jsonschema
 import pytest
 
+from fibpoly import bijections, oracle, series
 from fibpoly.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -17,6 +18,7 @@ from fibpoly.cli import (
     run_verification,
     table_discrepancies,
 )
+from fibpoly.geometry import PickReport
 from fibpoly.words import FibWord, count_words
 
 
@@ -56,6 +58,12 @@ def test_count_invalid_input(capsys):
     code, _, err = run_cli(capsys, "count", "--p", "0", "--n", "4")
     assert code == EXIT_INVALID
     assert "p must be" in err
+
+
+def test_count_huge_alphabet(capsys):
+    # p >= n sums every earlier term: the answer must not cost memory in p
+    code, out, _ = run_cli(capsys, "count", "--p", "100000000", "--n", "3")
+    assert (code, out) == (EXIT_OK, "4\n")
 
 
 def _decimal_digits(value):
@@ -286,6 +294,125 @@ def test_biject_invalid_inputs(capsys):
 
 # ---------------------------------------------------------------------------
 # verify / render
+
+# Complete outputs, pinned literally: the detail texts count the words
+# differently (composition-roundtrip includes the empty word, the lattice
+# and binary checks do not).
+VERIFY_P3_N6 = (
+    "PASS  pick-identity-per-word   52 words with n <= 6, 0 violations\n"
+    "PASS  aggregate-identity       n=6: 24 = 143 + 251 - 370\n"
+    "PASS  totals-vs-series         three total series against enumerated sums, n <= 6\n"
+    "PASS  transfer-vs-closed-form  both joint series through x^6\n"
+    "PASS  count-specialization     y=z=1 and q=1 recover word counts, n <= 6\n"
+    "PASS  lattice-oracle           cell-set statistics vs closed forms on 51 words\n"
+    "PASS  oracle-series            word-by-word series through x^6\n"
+    "PASS  composition-roundtrip    block splitting inverts on 52 words\n"
+    "PASS  binary-roundtrip         transition encoding inverts on 51 words\n"
+    "PASS  area-distribution        parts recurrence vs pruned search, area <= 18\n"
+    "PASS  overall\n"
+)
+
+VERIFY_P1_N12 = (
+    "PASS  pick-identity-per-word   13 words with n <= 12, 0 violations\n"
+    "PASS  aggregate-identity       n=12: 1 = 0 + 13 - 12\n"
+    "PASS  totals-vs-series         three total series against enumerated sums, n <= 12\n"
+    "PASS  transfer-vs-closed-form  both joint series through x^12\n"
+    "PASS  count-specialization     y=z=1 and q=1 recover word counts, n <= 12\n"
+    "PASS  lattice-oracle           cell-set statistics vs closed forms on 12 words\n"
+    "PASS  oracle-series            word-by-word series through x^12\n"
+    "PASS  composition-roundtrip    block splitting inverts on 13 words\n"
+    "PASS  binary-roundtrip         transition encoding inverts on 12 words\n"
+    "PASS  area-distribution        parts recurrence vs pruned search, area <= 12\n"
+    "PASS  overall\n"
+)
+
+VERIFY_P5_N7_JSON = (
+    '{"all_passed": true, "checks": ['
+    '{"detail": "124 words with n <= 7, 0 violations", '
+    '"name": "pick-identity-per-word", "passed": true}, '
+    '{"detail": "n=7: 61 = 1070 + 856 - 1865", "name": "aggregate-identity", "passed": true}, '
+    '{"detail": "three total series against enumerated sums, n <= 7", '
+    '"name": "totals-vs-series", "passed": true}, '
+    '{"detail": "both joint series through x^7", "name": "transfer-vs-closed-form", '
+    '"passed": true}, '
+    '{"detail": "y=z=1 and q=1 recover word counts, n <= 7", '
+    '"name": "count-specialization", "passed": true}, '
+    '{"detail": "cell-set statistics vs closed forms on 123 words", '
+    '"name": "lattice-oracle", "passed": true}, '
+    '{"detail": "word-by-word series through x^7", "name": "oracle-series", "passed": true}, '
+    '{"detail": "block splitting inverts on 124 words", "name": "composition-roundtrip", '
+    '"passed": true}, '
+    '{"detail": "transition encoding inverts on 123 words", "name": "binary-roundtrip", '
+    '"passed": true}, '
+    '{"detail": "parts recurrence vs pruned search, area <= 30", '
+    '"name": "area-distribution", "passed": true}], '
+    '"command": "verify", "nmax": 7, "p": 5}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--p", "3", "--nmax", "6"), VERIFY_P3_N6),
+        (("--p", "1", "--nmax", "12"), VERIFY_P1_N12),
+        (("--p", "5", "--nmax", "7", "--format", "json"), VERIFY_P5_N7_JSON),
+    ],
+)
+def test_verify_golden_output(capsys, argv, expected):
+    assert run_cli(capsys, "verify", *argv) == (EXIT_OK, expected, "")
+
+
+def _inner_off_by_one(real):
+    def lattice_stats(w):
+        r = real(w)
+        return PickReport(r.area, r.sper, r.inn + 1) if str(w) == "3232" else r
+
+    return lattice_stats
+
+
+def _binary_of_other_word(real):
+    def word_to_binary(w):
+        return real(FibWord.from_text(3, "3233") if str(w) == "3232" else w)
+
+    return word_to_binary
+
+
+def _last_total_plus_one(real):
+    def total_area_sequence(p, n_max):
+        return [v + (n == n_max) for n, v in enumerate(real(p, n_max))]
+
+    return total_area_sequence
+
+
+@pytest.mark.parametrize(
+    "module, attr, corrupt, failing",
+    [
+        (oracle, "lattice_stats", _inner_off_by_one, {"lattice-oracle", "oracle-series"}),
+        (bijections, "word_to_binary", _binary_of_other_word, {"binary-roundtrip"}),
+        (series, "total_area_sequence", _last_total_plus_one, {"totals-vs-series"}),
+    ],
+)
+def test_verify_detects_corrupted_input(capsys, monkeypatch, module, attr, corrupt, failing):
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+    code, out, _ = run_cli(capsys, "verify", "--p", "3", "--nmax", "6")
+    assert code == EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    assert len(lines) == 11
+    assert {line.split()[1] for line in lines if line.startswith("FAIL")} == failing | {"overall"}
+
+
+def test_verify_cap_counts_words_through_nmax(capsys):
+    # 33 words with n <= 6 for p = 2, and no single length has more than 13
+    assert sum(count_words(2, n) for n in range(7)) == 33
+    code, out, err = run_cli(capsys, "verify", "--p", "2", "--nmax", "6", "--max-words", "20")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "33 words" in err
+
+
+def test_verify_validates_p_before_the_cap(capsys):
+    code, _, err = run_cli(capsys, "verify", "--p", "65", "--nmax", "100", "--max-words", "5")
+    assert code == EXIT_INVALID
+    assert "exceeds the limit" in err
 
 
 def test_verify_passes(capsys):
