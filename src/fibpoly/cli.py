@@ -122,47 +122,55 @@ def _build_series(p: int, kind: str, order: int) -> series.TruncatedSeries:
         return series.expand_rational(series.closed_form_F(p), order)
     if kind == "G":
         return series.expand_rational(series.closed_form_G(p), order)
+    raise ValueError(f"unknown series kind {kind!r}")
+
+
+def _build_sequence(p: int, kind: str, order: int) -> list[int]:
+    """Coefficients 0 .. order of a univariate kind: A, S, I (in x) or D (in y)."""
     if kind == "A":
-        return series.expand_rational(series.gf_total_area(p), order)
+        return series.total_area_sequence(p, order)
     if kind == "S":
-        return series.expand_rational(series.gf_total_sper(p), order)
+        return series.total_sper_sequence(p, order)
     if kind == "I":
-        return series.expand_rational(series.gf_total_inner(p), order)
+        return series.total_inner_sequence(p, order)
     if kind == "D":
-        counts = series.area_count_sequence(p, order)
-        terms = {series.Monomial(y=n): c for n, c in enumerate(counts) if c}
-        return series.TruncatedSeries(0, terms)
+        return series.area_count_sequence(p, order)
     raise ValueError(f"unknown series kind {kind!r}")
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    expansion = _build_series(args.p, args.kind, args.order)
-    if args.format == "json":
+    as_json = args.format == "json"
+    if args.kind in ("F", "G"):
+        expansion = _build_series(args.p, args.kind, args.order)
+        output = expansion.to_json_terms() if as_json else expansion.to_text()
+    else:
+        coeffs = _build_sequence(args.p, args.kind, args.order)
+        var = "y" if args.kind == "D" else "x"
+        output = (series.sequence_json_terms(coeffs, var) if as_json
+                  else series.sequence_text(coeffs, var))
+    if as_json:
         _emit_json(
             {
                 "command": "series",
                 "p": args.p,
                 "kind": args.kind,
                 "order": args.order,
-                "terms": expansion.to_json_terms(),
+                "terms": output,
             }
         )
     else:
-        print(expansion.to_text())
+        print(output)
     return EXIT_OK
+
+
+TABLE_KINDS = {1: "A", 2: "D", 3: "S", 4: "I"}
 
 
 def compute_table(which: int, p: int, n_max: int) -> list[int]:
     """Row of the requested summary table for one p, columns n = 1 .. n_max."""
-    if which == 1:
-        return series.total_area_sequence(p, n_max)[1:]
-    if which == 2:
-        return series.area_count_sequence(p, n_max)[1:]
-    if which == 3:
-        return series.total_sper_sequence(p, n_max)[1:]
-    if which == 4:
-        return series.total_inner_sequence(p, n_max)[1:]
-    raise ValueError(f"table number must be 1..4, got {which}")
+    if which not in TABLE_KINDS:
+        raise ValueError(f"table number must be 1..4, got {which}")
+    return _build_sequence(p, TABLE_KINDS[which], n_max)[1:]
 
 
 def table_discrepancies(which: int, rows: dict[int, list[int]]) -> list[dict]:

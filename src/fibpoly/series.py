@@ -36,6 +36,17 @@ guard bits and raises ``ValueError`` instead of wrapping silently.
 Canonical term order is graded lexicographic with x > y > z > q; the text
 rendering groups terms by x-degree, e.g. ``1 + y^2*z^3*x + (y^3*z^4 +
 y^4*z^4)*x^2``.
+
+Univariate sequences.  The totals by length (``total_area_sequence``,
+``total_sper_sequence``, ``total_inner_sequence``) and the word counts by
+area (``area_count_sequence``) have rational generating functions in one
+variable (``gf_total_*`` in x, ``gf_area_counts`` in y).  They are
+computed by integer recurrence, not by the series kernel: the
+coefficients of numerator and denominator are read into ``list[int]``,
+the linear recurrence is read off the denominator, and the result is
+checked by convolving it with the denominator again.
+``sequence_text`` and ``sequence_json_terms`` write such a list in the
+format of ``to_text`` and ``to_json_terms``.
 """
 
 from __future__ import annotations
@@ -718,27 +729,92 @@ def gf_area_counts(p: int) -> RationalGF:
     return RationalGF({UNIT: 1}, denominator)
 
 
+# ---------------------------------------------------------------------------
+# univariate sequences as integer recurrences
+
+
+def _coefficient_list(terms: Terms, var: str) -> list[int]:
+    """Coefficients of a polynomial in ``var`` alone, indexed by exponent."""
+    index = VARIABLES.index(var)
+    coeffs = [0] * (max((mono[index] for mono in terms), default=0) + 1)
+    for mono, c in terms.items():
+        if mono.total_degree() != mono[index]:
+            raise ValueError(f"polynomial is not univariate in {var}: contains {mono}")
+        coeffs[mono[index]] = c
+    return coeffs
+
+
+def _convolution_at(coeffs: list[int], taps: list[tuple[int, int]], n: int) -> int:
+    """Sum of c * coeffs[n - k] over the taps (k, c) with k <= n; taps ascend in k."""
+    value = 0
+    for k, c in taps:
+        if k > n:
+            break
+        value += c * coeffs[n - k]
+    return value
+
+
+def _check_remultiplied(coeffs: list[int], num: list[int], den: list[int]) -> None:
+    """Raise ArithmeticError unless coeffs * den equals num through len(coeffs) terms."""
+    taps = [(k, c) for k, c in enumerate(den) if c]
+    for n in range(len(coeffs)):
+        if _convolution_at(coeffs, taps, n) != (num[n] if n < len(num) else 0):
+            raise ArithmeticError("expansion failed the re-multiplication check")
+
+
+def _divide(num: list[int], den: list[int], order: int) -> list[int]:
+    """Coefficients 0 .. order of num / den, for integer lists with den[0] == 1.
+
+    Reads the linear recurrence off the denominator: the n-th coefficient
+    is num[n] minus den[k] times the (n-k)-th, summed over the nonzero
+    den[k], k >= 1.  The result is verified by re-multiplication.
+    """
+    taps = [(k, c) for k, c in enumerate(den) if k and c]
+    coeffs: list[int] = []
+    for n in range(order + 1):
+        coeffs.append((num[n] if n < len(num) else 0) - _convolution_at(coeffs, taps, n))
+    _check_remultiplied(coeffs, num, den)
+    return coeffs
+
+
+def _expand_univariate(gf: RationalGF, var: str, order: int) -> list[int]:
+    """Coefficients 0 .. order of a rational function of ``var`` alone."""
+    if order < 0:
+        raise ValueError(f"{var}_bound must be >= 0, got {order}")
+    num = _coefficient_list(gf.numerator, var)
+    den = _coefficient_list(gf.denominator, var)
+    return _divide(num, den, order)
+
+
 def area_count_sequence(p: int, max_area: int) -> list[int]:
-    """Counts of words by area for areas 0 .. max_area, by the parts recurrence."""
+    """Counts of words by area for areas 0 .. max_area, expanding ``gf_area_counts``."""
     if max_area < 0:
         raise ValueError(f"max_area must be >= 0, got {max_area}")
-    parts = parts_set(p)
-    counts = [1] + [0] * max_area
-    for n in range(1, max_area + 1):
-        counts[n] = sum(counts[n - part] for part in parts if part <= n)
-    return counts
+    return _expand_univariate(gf_area_counts(p), "y", max_area)
 
 
 def total_area_sequence(p: int, n_max: int) -> list[int]:
     """Total area over all words of length n, for n = 0 .. n_max."""
-    return expand_rational(gf_total_area(p), n_max).univariate_coefficients()
+    return _expand_univariate(gf_total_area(p), "x", n_max)
 
 
 def total_sper_sequence(p: int, n_max: int) -> list[int]:
     """Total semi-perimeter over all words of length n, for n = 0 .. n_max."""
-    return expand_rational(gf_total_sper(p), n_max).univariate_coefficients()
+    return _expand_univariate(gf_total_sper(p), "x", n_max)
 
 
 def total_inner_sequence(p: int, n_max: int) -> list[int]:
     """Total inner points over all words of length n, for n = 0 .. n_max."""
-    return expand_rational(gf_total_inner(p), n_max).univariate_coefficients()
+    return _expand_univariate(gf_total_inner(p), "x", n_max)
+
+
+def sequence_text(coeffs: list[int], var: str) -> str:
+    """Text form of the univariate series with these coefficients, as ``to_text`` writes it."""
+    terms = [(c, _power(var, n) if n else "") for n, c in enumerate(coeffs) if c]
+    return _joined_terms(terms) or "0"
+
+
+def sequence_json_terms(coeffs: list[int], var: str) -> list[dict]:
+    """JSON-ready term list of the same series, as ``to_json_terms`` writes it."""
+    return [{"exponents": {var: n} if n else {}, "coefficient": c}
+            for n, c in enumerate(coeffs) if c]

@@ -38,8 +38,10 @@ def run_verification(p: int, n_max: int, cap: int | None = None) -> list[CheckRe
     specializations that recover plain word counts, the lattice oracle,
     both bijection roundtrips, and the area-count recurrence.
 
-    Raises EnumerationCapError before any work if the words of lengths
-    0 .. n_max number more than ``cap`` (default ``DEFAULT_WORD_CAP``).
+    Raises EnumerationCapError before any other work if the words of
+    lengths 0 .. n_max number more than ``cap`` (default
+    ``DEFAULT_WORD_CAP``), or if the pruned area search, which runs first,
+    would visit more than ``cap`` words.
     """
     words.validate_alphabet(p)
     if cap is None:
@@ -47,6 +49,10 @@ def run_verification(p: int, n_max: int, cap: int | None = None) -> list[CheckRe
     total_words = sum(words.count_words(p, n) for n in range(n_max + 1))
     if total_words > cap:
         raise EnumerationCapError(total_words, cap)
+    # the pruned area search counts its own words against the cap, so it
+    # runs before any other work
+    max_area = min(30, p * n_max)
+    counted = oracle.brute_force_area_distribution(p, max_area, cap=cap)
 
     bad_pick = lattice_bad = binary_bad = 0
     comp_bad = int(not _composition_inverts(FibWord(p), 0))
@@ -81,8 +87,6 @@ def run_verification(p: int, n_max: int, cap: int | None = None) -> list[CheckRe
     expected_counts = [words.count_words(p, n) for n in range(n_max + 1)]
     f_counts = dp_f.substitute_one("y", "z").univariate_coefficients()
     g_counts = dp_g.substitute_one("q").univariate_coefficients()
-    max_area = min(30, p * n_max)
-    counted = oracle.brute_force_area_distribution(p, max_area, cap=cap)
     return [
         CheckResult(
             "pick-identity-per-word",

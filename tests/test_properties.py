@@ -1,9 +1,13 @@
-"""Property tests for the packed-exponent series kernel.
+"""Property tests for the packed-exponent series kernel and the sequences.
 
 The reference implementations below keep series as plain
 ``Monomial -> coefficient`` dicts, the representation the kernel replaced,
 so every property compares the packed layers against the naive arithmetic.
+The univariate sequences are compared against the series kernel, the parts
+loop and the window loop they replaced.
 """
+
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +18,22 @@ from fibpoly.series import (
     Monomial,
     RationalGF,
     TruncatedSeries,
+    area_count_sequence,
     closed_form_F,
     closed_form_G,
     column_transfer,
     expand_rational,
+    gf_total_area,
+    gf_total_inner,
+    gf_total_sper,
+    parts_set,
     series_F_dp,
     series_G_dp,
+    total_area_sequence,
+    total_inner_sequence,
+    total_sper_sequence,
 )
+from fibpoly.words import fibonacci_number
 
 M = Monomial
 UNIT = Monomial()
@@ -155,3 +168,63 @@ def test_overflow_guard_in_division_and_transfer():
     assert column_transfer(2, 1, weight, lambda j, i: weight).coefficient(M(x=1, z=half)) == 1
     with pytest.raises(ValueError):
         column_transfer(2, 2, weight, lambda j, i: weight)
+
+
+# ---------------------------------------------------------------------------
+# univariate sequences
+
+
+def parts_loop_area_counts(p, max_area):
+    """Counts of words by area from the parts recurrence, summed part by part."""
+    parts = parts_set(p)
+    counts = [1] + [0] * max_area
+    for n in range(1, max_area + 1):
+        counts[n] = sum(counts[n - part] for part in parts if part <= n)
+    return counts
+
+
+def window_fibonacci(p, n):
+    """F(n) by the window loop alone: F(k+1) = 2 F(k) - F(k-p)."""
+    if n <= 0:
+        return 0
+    if n == 1:
+        return 1
+    p = min(p, n)
+    window = deque([1] + [0] * (p - 1) + [1], maxlen=p + 1)
+    for _ in range(2, n + 1):
+        window.append(2 * window[-1] - window[0])
+    return window[-1]
+
+
+@given(p=st.integers(1, 64), order=st.integers(0, 150))
+def test_sequences_equal_series_expansion(p, order):
+    for sequence, gf in (
+        (total_area_sequence, gf_total_area),
+        (total_sper_sequence, gf_total_sper),
+        (total_inner_sequence, gf_total_inner),
+    ):
+        assert sequence(p, order) == expand_rational(gf(p), order).univariate_coefficients()
+
+
+@given(p=st.integers(1, 64), max_area=st.integers(0, 400))
+def test_area_counts_equal_parts_loop(p, max_area):
+    assert area_count_sequence(p, max_area) == parts_loop_area_counts(p, max_area)
+
+
+@given(st.integers(1, 64).flatmap(lambda p: st.tuples(st.just(p), st.integers(-p + 2, 400))))
+def test_fibonacci_equals_window_loop(case):
+    p, n = case
+    assert fibonacci_number(p, n) == window_fibonacci(p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_fibonacci_equals_window_loop_at_large_n(p):
+    assert fibonacci_number(p, 20000) == window_fibonacci(p, 20000)
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_fibonacci_on_both_sides_of_the_crossover(p):
+    # the first n that takes the polynomial reduction (n >= 128 p, 3 n >= p^4)
+    first = max(128 * p, -(-p**4 // 3))
+    for n in (first - 1, first, first + 1):
+        assert fibonacci_number(p, n) == window_fibonacci(p, n)

@@ -24,6 +24,7 @@ from fibpoly import (
     total_inner_sequence,
     total_sper_sequence,
 )
+from fibpoly.series import _check_remultiplied, _coefficient_list, _divide, gf_total_area
 
 M = Monomial
 UNIT = Monomial()
@@ -323,6 +324,22 @@ def test_area_counts_known_values():
 def test_area_counts_match_search_oracle():
     for p in range(1, 5):
         assert area_count_sequence(p, 25) == brute_force_area_distribution(p, 25)
+
+
+def test_remultiplication_check_catches_a_wrong_coefficient():
+    gf = gf_total_area(3)
+    num = _coefficient_list(gf.numerator, "x")
+    den = _coefficient_list(gf.denominator, "x")
+    coeffs = _divide(num, den, 20)
+    _check_remultiplied(coeffs, num, den)
+    for n in (0, 7, 20):
+        wrong = list(coeffs)
+        wrong[n] += 1
+        with pytest.raises(ArithmeticError, match="re-multiplication check"):
+            _check_remultiplied(wrong, num, den)
+    # a denominator whose constant term is not 1 breaks the recurrence itself
+    with pytest.raises(ArithmeticError, match="re-multiplication check"):
+        _divide([1], [2, -1], 3)
 
 
 def test_gf_area_counts_shape():
