@@ -5,8 +5,9 @@ All output is deterministic; JSON output (where offered) validates against
 the schema shipped in ``schemas/cli_output.schema.json``.
 
 Exit codes: 0 success, 2 invalid input, 3 verification failure,
-4 enumeration cap exceeded.  The default cap of 10^7 words can be raised
-or lowered with --max-words or the FIBPOLY_MAX_WORDS environment variable.
+4 enumeration cap exceeded or out of memory.  The default cap of 10^7
+words can be raised or lowered with --max-words or the FIBPOLY_MAX_WORDS
+environment variable.
 """
 
 from __future__ import annotations
@@ -267,31 +268,10 @@ def cmd_biject(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def render_svg(word: FibWord, cell: int = 24) -> str:
-    """Self-contained SVG drawing of the bargraph, one rect per unit cell."""
-    n = len(word)
-    height = max(word.digits) if word.digits else 0
-    width_px, height_px = n * cell, height * cell
-    lines = [
-        '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{width_px}" height="{height_px}" viewBox="0 0 {width_px} {height_px}">'
-    ]
-    for i, h in enumerate(word.digits, start=1):
-        for j in range(1, h + 1):
-            x = (i - 1) * cell
-            y = (height - j) * cell
-            lines.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                'fill="#8fbc8f" stroke="#333333" stroke-width="1"/>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines)
-
-
 def cmd_render(args: argparse.Namespace) -> int:
     word = FibWord.from_text(args.p, args.word)
     if args.format == "svg":
-        print(render_svg(word))
+        print(geometry.render_svg(word))
     else:
         drawing = geometry.render_ascii(word, glyph=args.glyph)
         if drawing:
@@ -437,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
     except EnumerationCapError as exc:
         print(f"fibpoly: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("fibpoly: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"fibpoly: {exc}", file=sys.stderr)

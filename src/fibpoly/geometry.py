@@ -96,3 +96,24 @@ def render_ascii(w: FibWord, glyph: str = "#") -> str:
     for level in range(top, 0, -1):
         lines.append("".join(glyph if h >= level else " " for h in w.digits).rstrip())
     return "\n".join(lines)
+
+
+def render_svg(w: FibWord, cell: int = 24) -> str:
+    """Self-contained SVG drawing of the bargraph, one rect per unit cell."""
+    n = len(w)
+    height = max(w.digits) if w.digits else 0
+    width_px, height_px = n * cell, height * cell
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{width_px}" height="{height_px}" viewBox="0 0 {width_px} {height_px}">'
+    ]
+    for i, h in enumerate(w.digits, start=1):
+        for j in range(1, h + 1):
+            x = (i - 1) * cell
+            y = (height - j) * cell
+            lines.append(
+                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                'fill="#8fbc8f" stroke="#333333" stroke-width="1"/>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines)

@@ -23,8 +23,8 @@ integer addition, and integer order of keys is lexicographic order on
 (y, z, q).  z and q each get ``FIELD_BITS`` = 20 bits (exponents up to
 ``MAX_FIELD_EXPONENT`` = 2^20 - 1) plus one guard bit above the field;
 y is the top field and is unbounded.  ``Monomial`` objects exist only at
-the API boundary: the ``terms`` view, ``coefficient``,
-``coefficient_of_x``, ``moment``, ``to_text`` and ``to_json_terms``.
+the API boundary: the ``terms`` view, ``coefficient``, ``to_text`` and
+``to_json_terms``.
 
 Overflow guard.  Packing a z or q exponent above the field, or any
 negative exponent, raises ``ValueError``.  A sum of two stored keys can
@@ -40,11 +40,11 @@ y^4*z^4)*x^2``.
 Univariate sequences.  The totals by length (``total_area_sequence``,
 ``total_sper_sequence``, ``total_inner_sequence``) and the word counts by
 area (``area_count_sequence``) have rational generating functions in one
-variable (``gf_total_*`` in x, ``gf_area_counts`` in y).  They are
-computed by integer recurrence, not by the series kernel: the
-coefficients of numerator and denominator are read into ``list[int]``,
-the linear recurrence is read off the denominator, and the result is
-checked by convolving it with the denominator again.
+variable (``gf_total_*`` in x, ``gf_area_counts`` in y).  Numerator and
+denominator are built as ``list[int]`` coefficient lists, which the
+``gf_*`` functions wrap as ``RationalGF``.  The sequences never touch
+the series kernel: they read the linear recurrence off the denominator
+list and check the result by convolving it with the denominator again.
 ``sequence_text`` and ``sequence_json_terms`` write such a list in the
 format of ``to_text`` and ``to_json_terms``.
 """
@@ -54,8 +54,9 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import reduce
+from itertools import zip_longest
 from operator import or_
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .words import validate_alphabet
 
@@ -69,29 +70,6 @@ class Monomial(NamedTuple):
     y: int = 0
     z: int = 0
     q: int = 0
-
-    def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.x + other.x, self.y + other.y, self.z + other.z, self.q + other.q)
-
-    def total_degree(self) -> int:
-        return self.x + self.y + self.z + self.q
-
-    def grlex_key(self) -> tuple[int, int, int, int, int]:
-        """Sort key for graded lexicographic order with x > y > z > q."""
-        return (self.total_degree(), self.x, self.y, self.z, self.q)
-
-    def exponents(self) -> dict[str, int]:
-        """Exponent map with zero entries omitted."""
-        return {v: e for v, e in zip(VARIABLES, self) if e}
-
-    @classmethod
-    def from_exponents(cls, exponents: Mapping[str, int]) -> "Monomial":
-        bad = set(exponents) - set(VARIABLES)
-        if bad:
-            raise ValueError(f"unknown variables {sorted(bad)}; expected subset of {VARIABLES}")
-        if any(e < 0 for e in exponents.values()):
-            raise ValueError("exponents must be non-negative")
-        return cls(**{v: int(e) for v, e in exponents.items()})
 
 
 UNIT = Monomial()
@@ -158,14 +136,6 @@ def _mul_into(target: Layer, a: Layer, b: Layer, scale: int = 1) -> Layer:
     return target
 
 
-def _added(a: Layer, b: Layer, sign: int) -> Layer:
-    out = dict(a)
-    get = out.get
-    for k, c in b.items():
-        out[k] = get(k, 0) + sign * c
-    return _checked(out)
-
-
 # ---------------------------------------------------------------------------
 # Monomial-level helpers for building the closed forms
 
@@ -176,27 +146,6 @@ def _add_term(target: Terms, mono: Monomial, coeff: int) -> None:
         target[mono] = c
     elif mono in target:
         del target[mono]
-
-
-def _poly_add(a: Terms, b: Terms, sign: int = 1) -> Terms:
-    out = dict(a)
-    for mono, coeff in b.items():
-        _add_term(out, mono, sign * coeff)
-    return out
-
-
-def _poly_mul(a: Terms, b: Terms) -> Terms:
-    bound = max(m.x for m in a) + max(m.x for m in b)
-    return dict(_product(TruncatedSeries(bound, a), TruncatedSeries(bound, b)).terms.items())
-
-
-def _poly_scale(a: Terms, k: int) -> Terms:
-    return {mono: k * coeff for mono, coeff in a.items()} if k else {}
-
-
-def _x_poly(coeffs: Mapping[int, int]) -> Terms:
-    """Univariate polynomial in x from an exponent -> coefficient map."""
-    return {Monomial(x=k): c for k, c in coeffs.items() if c}
 
 
 class TermsView(Mapping):
@@ -270,18 +219,6 @@ class TruncatedSeries:
         series._layers = layers
         return series
 
-    @classmethod
-    def zero(cls, x_bound: int) -> "TruncatedSeries":
-        return cls(x_bound)
-
-    @classmethod
-    def one(cls, x_bound: int) -> "TruncatedSeries":
-        return cls(x_bound, {UNIT: 1})
-
-    @classmethod
-    def single(cls, x_bound: int, coeff: int = 1, **exponents: int) -> "TruncatedSeries":
-        return cls(x_bound, {Monomial.from_exponents(exponents): coeff})
-
     @property
     def terms(self) -> TermsView:
         return TermsView(self._layers)
@@ -291,16 +228,6 @@ class TruncatedSeries:
             raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
         if self.x_bound != other.x_bound:
             raise ValueError(f"x_bound mismatch: {self.x_bound} != {other.x_bound}")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return self._of(self.x_bound, [_added(a, b, 1) for a, b in zip(self._layers, other._layers)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return self._of(
-            self.x_bound, [_added(a, b, -1) for a, b in zip(self._layers, other._layers)]
-        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
@@ -314,23 +241,8 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries(x_bound={self.x_bound}, {self.to_text()})"
 
-    def truncate(self, x_bound: int) -> "TruncatedSeries":
-        """Drop every term of x-degree above the (smaller or equal) new bound."""
-        if x_bound > self.x_bound:
-            raise ValueError("cannot raise the truncation bound of an existing series")
-        if x_bound < 0:
-            raise ValueError(f"x_bound must be >= 0, got {x_bound}")
-        return self._of(x_bound, self._layers[: x_bound + 1])
-
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(mono, 0)
-
-    def _layer(self, n: int) -> Layer:
-        return self._layers[n] if 0 <= n <= self.x_bound else {}
-
-    def coefficient_of_x(self, n: int) -> Terms:
-        """The coefficient of x^n as a polynomial in y, z, q."""
-        return {Monomial(0, *_unpack(k)): c for k, c in self._layer(n).items()}
 
     def univariate_coefficients(self) -> list[int]:
         """Coefficients by x-degree; requires a series in x alone."""
@@ -362,20 +274,6 @@ class TruncatedSeries:
                 key &= keep
                 target[key] = target.get(key, 0) + c
         return self._of(self.x_bound, [_checked(layer) for layer in out])
-
-    def moment(self, variable: str, n: int) -> int:
-        """Sum of coefficient times ``variable`` exponent over the x^n terms.
-
-        Applied to the joint series this is the total of the marked
-        statistic over all words of length n.
-        """
-        if variable not in VARIABLES:
-            raise ValueError(f"unknown variable {variable!r}")
-        layer = self._layer(n)
-        if variable == "x":
-            return n * sum(layer.values())
-        idx = VARIABLES.index(variable) - 1
-        return sum(c * _unpack(key)[idx] for key, c in layer.items())
 
     def to_text(self) -> str:
         """Canonical text form, terms grouped by ascending x-degree."""
@@ -423,14 +321,6 @@ class TruncatedSeries:
                 exponents["q"] = q
             out.append({"exponents": exponents, "coefficient": c})
         return out
-
-    @classmethod
-    def from_json_terms(cls, x_bound: int, data: Iterable[Mapping]) -> "TruncatedSeries":
-        terms: Terms = {}
-        for entry in data:
-            mono = Monomial.from_exponents(entry["exponents"])
-            _add_term(terms, mono, int(entry["coefficient"]))
-        return cls(x_bound, terms)
 
 
 def _product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -649,6 +539,37 @@ def series_G_dp(p: int, x_bound: int) -> TruncatedSeries:
     return column_transfer(p, x_bound, UNIT, lambda j, i: Monomial(q=min(i, j) - 1))
 
 
+# ---------------------------------------------------------------------------
+# univariate generating functions as coefficient lists
+
+
+def _poly(*terms: tuple[int, int]) -> list[int]:
+    """Coefficient list of the sum of c * x^k over the (k, c) terms."""
+    coeffs = [0] * (max(k for k, _ in terms) + 1)
+    for k, c in terms:
+        coeffs[k] += c
+    return coeffs
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Coefficient list of the product of two polynomials."""
+    taps = [(k, c) for k, c in enumerate(a) if c]
+    padded = b + [0] * (len(a) - 1)
+    return [_convolution_at(padded, taps, n) for n in range(len(padded))]
+
+
+def _univariate_gf(fraction: tuple[list[int], list[int]], var: str) -> RationalGF:
+    """Wrap the coefficient lists (num, den) of a fraction in ``var`` alone."""
+    num, den = ({Monomial(**{var: k}): c for k, c in enumerate(coeffs)} for coeffs in fraction)
+    return RationalGF(num, den)
+
+
+def _total_area_fraction(p: int) -> tuple[list[int], list[int]]:
+    validate_alphabet(p)
+    base = [1] + [-1] * p
+    return [0] + [i * (2 * p - i + 1) // 2 for i in range(1, p + 1)], _convolve(base, base)
+
+
 def gf_total_area(p: int) -> RationalGF:
     """Generating function whose x^n coefficient is the total area over length-n words.
 
@@ -656,28 +577,41 @@ def gf_total_area(p: int) -> RationalGF:
     coefficients i(2p - i + 1) are always even, so the factor clears into
     exact integers here.
     """
+    return _univariate_gf(_total_area_fraction(p), "x")
+
+
+def _totals_denominator(p: int) -> list[int]:
+    """(1 - x)(1 - 2x + x^(p+1))^2, the denominator of the semi-perimeter and inner totals."""
+    core = _poly((0, 1), (1, -2), (p + 1, 1))
+    return _convolve([1, -1], _convolve(core, core))
+
+
+def _total_sper_fraction(p: int) -> tuple[list[int], list[int]]:
+    """Numerator p x (1 - x)(1 - 2x - 2x^p + 3x^(p+1)) - (x - x^(p+1))(x - 1 - x^2 + x^(p+2))."""
     validate_alphabet(p)
-    numerator = _x_poly({i: i * (2 * p - i + 1) // 2 for i in range(1, p + 1)})
-    base = _x_poly({0: 1, **{i: -1 for i in range(1, p + 1)}})
-    return RationalGF(numerator, _poly_mul(base, base))
+    t1 = _convolve([0, p, -p], _poly((0, 1), (1, -2), (p, -2), (p + 1, 3)))
+    t2 = _convolve(_poly((1, 1), (p + 1, -1)), _poly((0, -1), (1, 1), (2, -1), (p + 2, 1)))
+    return [a - b for a, b in zip_longest(t1, t2, fillvalue=0)], _totals_denominator(p)
 
 
 def gf_total_sper(p: int) -> RationalGF:
     """Generating function for the total semi-perimeter over length-n words."""
+    return _univariate_gf(_total_sper_fraction(p), "x")
+
+
+def _total_inner_fraction(p: int) -> tuple[list[int], list[int]]:
     validate_alphabet(p)
-    one_minus_x = _x_poly({0: 1, 1: -1})
-    first: Terms = {}
-    for k, c in ((0, 1), (1, -2), (p, -2), (p + 1, 3)):
-        _add_term(first, Monomial(x=k), c)
-    t1 = _poly_scale(_poly_mul(_poly_mul(one_minus_x, _x_poly({1: 1})), first), p)
-    second: Terms = {}
-    for k, c in ((0, -1), (1, 1), (2, -1), (p + 2, 1)):
-        _add_term(second, Monomial(x=k), c)
-    t2 = _poly_mul(_x_poly({1: 1, p + 1: -1}), second)
-    numerator = _poly_add(t1, t2, sign=-1)
-    core = _x_poly({0: 1, 1: -2, p + 1: 1})
-    denominator = _poly_mul(one_minus_x, _poly_mul(core, core))
-    return RationalGF(numerator, denominator)
+    raw = _poly(
+        (1, 6 - 4 * p),
+        (2, -(2 - 4 * p)),
+        (p, -(3 - p) * p),
+        (p + 1, -2 * (2 - p) ** 2),
+        (p + 2, 2 - 5 * p + p * p),
+        (2 * p + 1, 2),
+    )
+    if any(c % 2 for c in raw):
+        raise AssertionError("inner-point numerator coefficients must be even")
+    return [0] + [-c // 2 for c in raw], _totals_denominator(p)
 
 
 def gf_total_inner(p: int) -> RationalGF:
@@ -688,30 +622,17 @@ def gf_total_inner(p: int) -> RationalGF:
     so that numerator and denominator are integer polynomials with
     denominator constant term 1.
     """
-    validate_alphabet(p)
-    raw: dict[int, int] = {}
-    for k, c in (
-        (1, 6 - 4 * p),
-        (2, -(2 - 4 * p)),
-        (p, -(3 - p) * p),
-        (p + 1, -2 * (2 - p) ** 2),
-        (p + 2, 2 - 5 * p + p * p),
-        (2 * p + 1, 2),
-    ):
-        raw[k] = raw.get(k, 0) + c
-    if any(c % 2 for c in raw.values()):
-        raise AssertionError("inner-point numerator coefficients must be even")
-    numerator = _x_poly({k + 1: -c // 2 for k, c in raw.items()})
-    one_minus_x = _x_poly({0: 1, 1: -1})
-    core = _x_poly({0: 1, 1: -2, p + 1: 1})
-    denominator = _poly_mul(one_minus_x, _poly_mul(core, core))
-    return RationalGF(numerator, denominator)
+    return _univariate_gf(_total_inner_fraction(p), "x")
 
 
 def parts_set(p: int) -> tuple[int, ...]:
     """The p distinct block sums p + (p-1) + ... + i, in ascending order."""
     validate_alphabet(p)
     return tuple((p + i) * (p - i + 1) // 2 for i in range(p, 0, -1))
+
+
+def _area_counts_fraction(p: int) -> tuple[list[int], list[int]]:
+    return [1], _poly((0, 1), *((part, -1) for part in parts_set(p)))
 
 
 def gf_area_counts(p: int) -> RationalGF:
@@ -723,25 +644,11 @@ def gf_area_counts(p: int) -> RationalGF:
     the integer recurrence (``area_count_sequence``), not by
     ``expand_rational``.
     """
-    denominator: Terms = {UNIT: 1}
-    for part in parts_set(p):
-        _add_term(denominator, Monomial(y=part), -1)
-    return RationalGF({UNIT: 1}, denominator)
+    return _univariate_gf(_area_counts_fraction(p), "y")
 
 
 # ---------------------------------------------------------------------------
 # univariate sequences as integer recurrences
-
-
-def _coefficient_list(terms: Terms, var: str) -> list[int]:
-    """Coefficients of a polynomial in ``var`` alone, indexed by exponent."""
-    index = VARIABLES.index(var)
-    coeffs = [0] * (max((mono[index] for mono in terms), default=0) + 1)
-    for mono, c in terms.items():
-        if mono.total_degree() != mono[index]:
-            raise ValueError(f"polynomial is not univariate in {var}: contains {mono}")
-        coeffs[mono[index]] = c
-    return coeffs
 
 
 def _convolution_at(coeffs: list[int], taps: list[tuple[int, int]], n: int) -> int:
@@ -769,6 +676,8 @@ def _divide(num: list[int], den: list[int], order: int) -> list[int]:
     is num[n] minus den[k] times the (n-k)-th, summed over the nonzero
     den[k], k >= 1.  The result is verified by re-multiplication.
     """
+    if order < 0:
+        raise ValueError(f"x_bound must be >= 0, got {order}")
     taps = [(k, c) for k, c in enumerate(den) if k and c]
     coeffs: list[int] = []
     for n in range(order + 1):
@@ -777,35 +686,26 @@ def _divide(num: list[int], den: list[int], order: int) -> list[int]:
     return coeffs
 
 
-def _expand_univariate(gf: RationalGF, var: str, order: int) -> list[int]:
-    """Coefficients 0 .. order of a rational function of ``var`` alone."""
-    if order < 0:
-        raise ValueError(f"{var}_bound must be >= 0, got {order}")
-    num = _coefficient_list(gf.numerator, var)
-    den = _coefficient_list(gf.denominator, var)
-    return _divide(num, den, order)
-
-
 def area_count_sequence(p: int, max_area: int) -> list[int]:
     """Counts of words by area for areas 0 .. max_area, expanding ``gf_area_counts``."""
     if max_area < 0:
         raise ValueError(f"max_area must be >= 0, got {max_area}")
-    return _expand_univariate(gf_area_counts(p), "y", max_area)
+    return _divide(*_area_counts_fraction(p), max_area)
 
 
 def total_area_sequence(p: int, n_max: int) -> list[int]:
     """Total area over all words of length n, for n = 0 .. n_max."""
-    return _expand_univariate(gf_total_area(p), "x", n_max)
+    return _divide(*_total_area_fraction(p), n_max)
 
 
 def total_sper_sequence(p: int, n_max: int) -> list[int]:
     """Total semi-perimeter over all words of length n, for n = 0 .. n_max."""
-    return _expand_univariate(gf_total_sper(p), "x", n_max)
+    return _divide(*_total_sper_fraction(p), n_max)
 
 
 def total_inner_sequence(p: int, n_max: int) -> list[int]:
     """Total inner points over all words of length n, for n = 0 .. n_max."""
-    return _expand_univariate(gf_total_inner(p), "x", n_max)
+    return _divide(*_total_inner_fraction(p), n_max)
 
 
 def sequence_text(coeffs: list[int], var: str) -> str:

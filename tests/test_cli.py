@@ -15,11 +15,10 @@ from fibpoly.cli import (
     EXIT_VERIFY_FAILED,
     main,
     output_schema,
-    render_svg,
     run_verification,
     table_discrepancies,
 )
-from fibpoly.geometry import PickReport
+from fibpoly.geometry import PickReport, render_svg
 from fibpoly.words import FibWord, count_words
 
 
@@ -466,6 +465,18 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--p", "2", "--nmax", "2")
     assert code == EXIT_VERIFY_FAILED
     assert "FAIL" in out
+
+
+def test_memory_error_exits_4_without_traceback(capsys, monkeypatch):
+    import fibpoly.cli as cli_module
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "cmd_tables", exhausted)
+    assert run_cli(capsys, "tables", "--which", "1") == (
+        EXIT_RESOURCE, "", "fibpoly: out of memory\n"
+    )
 
 
 def test_run_verification_all_pass():
