@@ -5,7 +5,8 @@ All output is deterministic; JSON output (where offered) validates against
 the schema shipped in ``schemas/cli_output.schema.json``.
 
 Exit codes: 0 success, 2 invalid input, 3 verification failure,
-4 enumeration cap exceeded or out of memory.  The default cap of 10^7
+4 enumeration cap exceeded, out of memory, or output stream closed (for
+example by ``| head``).  The default cap of 10^7
 words can be raised or lowered with --max-words or the FIBPOLY_MAX_WORDS
 environment variable.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -335,19 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_p(sp)
     sp.add_argument("--n", type=int, required=True, help="word length (>= 0)")
     sp.add_argument("--format", choices=["plain", "json"], default="plain")
-    sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("words", help="list all words of a given length")
     add_p(sp)
     sp.add_argument("--n", type=int, required=True, help="word length (>= 0)")
     sp.add_argument("--format", choices=["plain", "json"], default="plain")
     add_cap(sp)
-    sp.set_defaults(func=cmd_words)
 
     sp = sub.add_parser("stats", help="area, semi-perimeter and inner points of one word")
     add_p(sp)
     sp.add_argument("--word", required=True, help="digit string, e.g. 32321")
-    sp.set_defaults(func=cmd_stats)
 
     sp = sub.add_parser("series", help="expand a generating function")
     add_p(sp)
@@ -355,14 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="; ".join(f"{k}: {v}" for k, v in SERIES_KINDS.items()))
     sp.add_argument("--order", type=int, required=True, help="expansion order (>= 0)")
     sp.add_argument("--format", choices=["plain", "json"], default="plain")
-    sp.set_defaults(func=cmd_series)
 
     sp = sub.add_parser("tables", help="reproduce a summary table")
     sp.add_argument("--which", type=int, choices=[1, 2, 3, 4], required=True)
     sp.add_argument("--pmax", type=int, default=5)
     sp.add_argument("--nmax", type=int, default=10)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("biject", help="convert between word, composition and binary forms")
     add_p(sp)
@@ -371,21 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--binary", default=None, help="bit string, e.g. 1010")
     sp.add_argument("--to", choices=["word", "composition", "binary"], required=True)
     sp.add_argument("--format", choices=["plain", "json"], default="plain")
-    sp.set_defaults(func=cmd_biject)
 
     sp = sub.add_parser("verify", help="run all cross-checks for one alphabet bound")
     add_p(sp)
     sp.add_argument("--nmax", type=int, required=True, help="largest word length checked")
     sp.add_argument("--format", choices=["plain", "json"], default="plain")
     add_cap(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("render", help="draw the bargraph of one word")
     add_p(sp)
     sp.add_argument("--word", required=True)
     sp.add_argument("--format", choices=["ascii", "svg"], default="ascii")
     sp.add_argument("--glyph", default="#", help="cell character for ascii output")
-    sp.set_defaults(func=cmd_render)
 
     return parser
 
@@ -409,12 +403,25 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(saved)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call rather than at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a replaced ``cmd_*`` handler takes effect
+    handler = globals()[f"cmd_{args.command}"]
     try:
         with _unlimited_int_digits():
-            return args.func(args)
+            code = handler(args)
+        # a reader that went away after the last write shows only on flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        print("fibpoly: output closed", file=sys.stderr)
+        return EXIT_RESOURCE
     except EnumerationCapError as exc:
         print(f"fibpoly: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -427,4 +434,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # main has reported the closed pipe, but the unwritten output is still
+        # buffered; aim fd 1 at the null device so the flush at exit cannot
+        # raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

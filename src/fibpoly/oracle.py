@@ -1,15 +1,16 @@
 """Brute-force lattice computations used to cross-check every closed form.
 
 Everything in this module is deliberately naive.  Statistics are counted
-directly on an explicit cell set, series are accumulated word by word, and
-area counts come from a pruned search over words.  None of it reuses the
-formula-based implementations in ``geometry`` or ``series``: independence
-is the point, so the duplication is intentional.
+directly on an explicit cell set by neighbour lookup: a cell side is a
+boundary edge when the cell across it is absent, and a lattice point is
+inner when its four surrounding cells are all present.  Series are
+accumulated word by word, and area counts come from a pruned search over
+words.  None of it reuses the formula-based implementations in
+``geometry`` or ``series`` (digit sums, ascents, minima of neighbouring
+digits): independence is the point, so the duplication is intentional.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from .geometry import PickReport
 from .series import Monomial, TruncatedSeries
@@ -29,28 +30,28 @@ STATISTICS = ("area_sper", "inner")
 def lattice_stats(w: FibWord) -> PickReport:
     """Statistics of a non-empty word counted on the embedded cell set.
 
-    Cells are indexed (column, row) with rows starting at 1.  The
-    semi-perimeter is half the number of boundary edges, and an inner
-    point is a lattice point whose four surrounding cells all exist.
+    Cells are indexed (column, row) with rows starting at 1, and every
+    statistic is read off the set by neighbour lookup.  A cell side is a
+    boundary edge exactly when the cell across it is absent; the
+    semi-perimeter is half the number of boundary edges.  An inner point is
+    a lattice point whose four surrounding cells are all present; each is
+    counted once, from the cell whose upper-right corner it is.  Nothing
+    here uses the digit-based formulas of ``geometry``, so the report
+    checks them instead of repeating them.
     """
     if not w.digits:
         raise ValueError("lattice statistics require a non-empty word")
     cells = {(i, j) for i, h in enumerate(w.digits, start=1) for j in range(1, h + 1)}
 
-    edges: Counter = Counter()
+    boundary = inn = 0
     for i, j in cells:
-        corners = [(i - 1, j - 1), (i, j - 1), (i, j), (i - 1, j)]
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            edges[frozenset((a, b))] += 1
-    boundary = sum(1 for count in edges.values() if count == 1)
+        left, below = (i - 1, j) in cells, (i, j - 1) in cells
+        right, above = (i + 1, j) in cells, (i, j + 1) in cells
+        # each of the four sides with no cell across it is a boundary edge
+        boundary += 4 - left - below - right - above
+        inn += right and above and (i + 1, j + 1) in cells
     if boundary % 2:
         raise AssertionError("bargraph boundary length must be even")
-
-    points = {corner for i, j in cells for corner in ((i - 1, j - 1), (i, j - 1), (i, j), (i - 1, j))}
-    inn = 0
-    for a, b in points:
-        if all(c in cells for c in ((a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1))):
-            inn += 1
 
     return PickReport(area=len(cells), sper=boundary // 2, inn=inn)
 

@@ -2,11 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import fibpoly
 from fibpoly import bijections, oracle, series
 from fibpoly.cli import (
     EXIT_INVALID,
@@ -477,6 +481,66 @@ def test_memory_error_exits_4_without_traceback(capsys, monkeypatch):
     assert run_cli(capsys, "tables", "--which", "1") == (
         EXIT_RESOURCE, "", "fibpoly: out of memory\n"
     )
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    import fibpoly.cli as cli_module
+
+    real = cli_module.build_parser
+    built = []
+
+    def counting():
+        built.append(True)
+        return real()
+
+    monkeypatch.setattr(cli_module, "build_parser", counting)
+    cli_module._parser.cache_clear()
+    try:
+        assert run_cli(capsys, "count", "--p", "3", "--n", "4")[:2] == (EXIT_OK, "7\n")
+        assert run_cli(capsys, "count", "--p", "2", "--n", "5")[:2] == (EXIT_OK, "8\n")
+    finally:
+        cli_module._parser.cache_clear()
+    assert len(built) == 1
+    # the public builder still hands out a fresh parser on every call
+    assert real() is not real()
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        # 19513 words of 18 bytes overflow the pipe, so the writer is still
+        # running when the reader leaves after one line
+        (["words", "--p", "3", "--n", "17"], b"32132132132132132\n"),
+        # a short answer stays buffered until the final flush, which finds
+        # the reader already gone
+        (["count", "--p", "3", "--n", "17"], None),
+    ],
+)
+def test_closed_stdout_exits_4_without_traceback(argv, first_line):
+    src = str(Path(fibpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # block-buffered stdout, as in a shell pipeline: output still buffered
+    # after the pipe closed must not fail again at interpreter exit
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    if first_line is None:
+        os.close(read_end)
+    proc = subprocess.Popen([sys.executable, "-m", "fibpoly", *argv],
+                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    try:
+        if first_line is not None:
+            with os.fdopen(read_end, "rb") as out:
+                assert out.readline() == first_line
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_RESOURCE
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert err == "fibpoly: output closed\n"
 
 
 def test_run_verification_all_pass():

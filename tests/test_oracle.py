@@ -5,7 +5,11 @@ Expected values here were derived by hand on the lattice embedding
 itself against the code it exists to validate.
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibpoly import (
     EnumerationCapError,
@@ -17,6 +21,8 @@ from fibpoly import (
     brute_force_generating_series,
     lattice_stats,
 )
+from fibpoly import geometry
+from fibpoly.words import iter_word_digits
 
 
 @pytest.mark.parametrize(
@@ -37,6 +43,69 @@ from fibpoly import (
 )
 def test_lattice_stats_hand_counted(p, text, expected):
     assert lattice_stats(FibWord.from_text(p, text)) == expected
+
+
+def edge_count_reference(w):
+    """Lattice statistics by counting every cell's four edges and corners.
+
+    A boundary edge is one that belongs to exactly one cell, and the inner
+    points are taken from the set of all cell corners.
+    """
+    cells = {(i, j) for i, h in enumerate(w.digits, start=1) for j in range(1, h + 1)}
+    edges = Counter()
+    for i, j in cells:
+        corners = [(i - 1, j - 1), (i, j - 1), (i, j), (i - 1, j)]
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            edges[frozenset((a, b))] += 1
+    boundary = sum(1 for count in edges.values() if count == 1)
+    points = {corner for i, j in cells for corner in ((i - 1, j - 1), (i, j - 1), (i, j), (i - 1, j))}
+    inn = sum(
+        all(c in cells for c in ((a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)))
+        for a, b in points
+    )
+    return PickReport(area=len(cells), sper=boundary // 2, inn=inn)
+
+
+def small_words():
+    """Every word with p = 1..5 and length 1..12."""
+    return [
+        FibWord(p, digits)
+        for p in range(1, 6)
+        for n in range(1, 13)
+        for digits in iter_word_digits(p, n)
+    ]
+
+
+def test_lattice_stats_matches_edge_count_on_all_small_words():
+    for w in small_words():
+        assert lattice_stats(w) == edge_count_reference(w), w
+
+
+@st.composite
+def fib_words(draw):
+    """A word with p <= 64 and length <= 40: after each digit, restart at p or step down."""
+    p = draw(st.integers(1, 64))
+    digits = [p]
+    for restart in draw(st.lists(st.booleans(), max_size=39)):
+        digits.append(p if restart or digits[-1] == 1 else digits[-1] - 1)
+    return FibWord(p, tuple(digits))
+
+
+@given(fib_words())
+def test_lattice_stats_matches_edge_count_on_drawn_words(w):
+    assert lattice_stats(w) == edge_count_reference(w)
+
+
+def test_lattice_stats_does_not_call_the_closed_forms(monkeypatch):
+    sample = [w for w in small_words() if len(w.digits) <= 7]
+    expected = [lattice_stats(w) for w in sample]
+
+    def forbidden(w):
+        raise AssertionError("the oracle must not use the closed forms")
+
+    for name in ("area", "semiperimeter", "inner_points"):
+        monkeypatch.setattr(geometry, name, forbidden)
+    assert [lattice_stats(w) for w in sample] == expected
 
 
 def test_lattice_stats_rejects_empty_word():
