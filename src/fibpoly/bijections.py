@@ -87,7 +87,7 @@ def composition_to_word(c: Composition) -> FibWord:
     The part p + (p-1) + ... + i becomes the block p, p-1, ..., i; parts
     admitting no such expansion are rejected when the composition is built.
     """
-    block_start = {(c.p + i) * (c.p - i + 1) // 2: i for i in range(1, c.p + 1)}
+    block_start = dict(zip(parts_set(c.p), range(c.p, 0, -1)))
     digits: list[int] = []
     for part in c.parts:
         digits.extend(range(c.p, block_start[part] - 1, -1))

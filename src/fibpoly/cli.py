@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -120,14 +118,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_series(p: int, kind: str, order: int) -> series.TruncatedSeries:
-    if kind == "F":
-        return series.expand_rational(series.closed_form_F(p), order)
-    if kind == "G":
-        return series.expand_rational(series.closed_form_G(p), order)
-    raise ValueError(f"unknown series kind {kind!r}")
-
-
 def _build_sequence(p: int, kind: str, order: int) -> list[int]:
     """Coefficients 0 .. order of a univariate kind: A, S, I (in x) or D (in y)."""
     if kind == "A":
@@ -144,7 +134,8 @@ def _build_sequence(p: int, kind: str, order: int) -> list[int]:
 def cmd_series(args: argparse.Namespace) -> int:
     as_json = args.format == "json"
     if args.kind in ("F", "G"):
-        expansion = _build_series(args.p, args.kind, args.order)
+        closed_form = series.closed_form_F if args.kind == "F" else series.closed_form_G
+        expansion = series.expand_rational(closed_form(args.p), args.order)
         output = expansion.to_json_terms() if as_json else expansion.to_text()
     else:
         coeffs = _build_sequence(args.p, args.kind, args.order)
@@ -169,13 +160,6 @@ def cmd_series(args: argparse.Namespace) -> int:
 TABLE_KINDS = {1: "A", 2: "D", 3: "S", 4: "I"}
 
 
-def compute_table(which: int, p: int, n_max: int) -> list[int]:
-    """Row of the requested summary table for one p, columns n = 1 .. n_max."""
-    if which not in TABLE_KINDS:
-        raise ValueError(f"table number must be 1..4, got {which}")
-    return _build_sequence(p, TABLE_KINDS[which], n_max)[1:]
-
-
 def table_discrepancies(which: int, rows: dict[int, list[int]]) -> list[dict]:
     """Cells where a computed row disagrees with the published table."""
     published = reference.PUBLISHED_TABLES[which]
@@ -195,7 +179,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
         raise ValueError("--pmax must be >= 2")
     if args.nmax < 1:
         raise ValueError("--nmax must be >= 1")
-    rows = {p: compute_table(args.which, p, args.nmax) for p in range(2, args.pmax + 1)}
+    kind = TABLE_KINDS[args.which]
+    rows = {p: _build_sequence(p, kind, args.nmax)[1:] for p in range(2, args.pmax + 1)}
     discrepancies = table_discrepancies(args.which, rows)
     if args.format == "json":
         _emit_json(
@@ -210,12 +195,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
             }
         )
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["p"] + [str(n) for n in range(1, args.nmax + 1)])
+        print(",".join(map(str, ["p", *range(1, args.nmax + 1)])))
         for p, values in sorted(rows.items()):
-            writer.writerow([p] + values)
-        sys.stdout.write(buffer.getvalue())
+            print(",".join(map(str, [p, *values])))
         for item in discrepancies:
             print(
                 f"# mismatch vs published table {args.which}: p={item['p']} n={item['n']} "

@@ -46,11 +46,14 @@ denominator are built as ``list[int]`` coefficient lists, which the
 the series kernel: they read the linear recurrence off the denominator
 list and check the result by convolving it with the denominator again.
 ``sequence_text`` and ``sequence_json_terms`` write such a list in the
-format of ``to_text`` and ``to_json_terms``.
+format of ``to_text`` and ``to_json_terms``.  Series text and sequence
+text share one term joiner, ``_joined_terms``, which writes the signs;
+``to_text`` hands it a multi-term x-layer as one parenthesized term.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import reduce
@@ -136,18 +139,6 @@ def _mul_into(target: Layer, a: Layer, b: Layer, scale: int = 1) -> Layer:
     return target
 
 
-# ---------------------------------------------------------------------------
-# Monomial-level helpers for building the closed forms
-
-
-def _add_term(target: Terms, mono: Monomial, coeff: int) -> None:
-    c = target.get(mono, 0) + coeff
-    if c:
-        target[mono] = c
-    elif mono in target:
-        del target[mono]
-
-
 class TermsView(Mapping):
     """Read-only ``Monomial -> coefficient`` view of a series, built on demand."""
 
@@ -223,14 +214,11 @@ class TruncatedSeries:
     def terms(self) -> TermsView:
         return TermsView(self._layers)
 
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
         if self.x_bound != other.x_bound:
             raise ValueError(f"x_bound mismatch: {self.x_bound} != {other.x_bound}")
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
         return _product(self, other)
 
     def __eq__(self, other: object) -> bool:
@@ -278,29 +266,19 @@ class TruncatedSeries:
     def to_text(self) -> str:
         """Canonical text form, terms grouped by ascending x-degree."""
         ys, zs, qs = _Powers("y"), _Powers("z"), _Powers("q")
-        rendered: list[tuple[bool, str]] = []
+        pairs: list[tuple[int, str]] = []
         for n, layer in enumerate(self._layers):
             if not layer:
                 continue
             terms = [(c, (ys[y] + zs[z] + qs[q])[1:]) for _, _, y, z, q, c in _grlex_rows(layer)]
-            if len(terms) == 1:
+            if n == 0:
+                pairs.extend(terms)
+            elif len(terms) == 1:
                 c, body = terms[0]
-                if n:
-                    body = (f"{body}*" if body else "") + _power("x", n)
-                rendered.append((c < 0, _term_text(abs(c), body)))
-            elif n == 0:
-                rendered.append((False, _joined_terms(terms)))
+                pairs.append((c, (f"{body}*" if body else "") + _power("x", n)))
             else:
-                rendered.append((False, f"({_joined_terms(terms)})*{_power('x', n)}"))
-        if not rendered:
-            return "0"
-        pieces = []
-        for i, (negative, text) in enumerate(rendered):
-            if i == 0:
-                pieces.append(f"-{text}" if negative else text)
-            else:
-                pieces.append(f" - {text}" if negative else f" + {text}")
-        return "".join(pieces)
+                pairs.append((1, f"({_joined_terms(terms)})*{_power('x', n)}"))
+        return _joined_terms(pairs) or "0"
 
     def to_json_terms(self) -> list[dict]:
         """JSON-ready term list in ascending graded lexicographic order."""
@@ -446,34 +424,25 @@ def closed_form_F(p: int) -> RationalGF:
     it ends the polyomino.
     """
     validate_alphabet(p)
-    denominator: Terms = {UNIT: 1}
-    _add_term(denominator, Monomial(x=1, y=p, z=1), -1)
+    denominator = Counter({UNIT: 1, Monomial(x=1, y=p, z=1): -1})
     for i in range(1, p):
-        _add_term(
-            denominator,
-            Monomial(x=p - i + 1, y=(p + i) * (p - i + 1) // 2, z=2 * p - 2 * i + 1),
-            -1,
-        )
-    numerator = dict(denominator)
+        denominator[Monomial(x=p - i + 1, y=(p + i) * (p - i + 1) // 2, z=2 * p - 2 * i + 1)] -= 1
+    numerator = denominator.copy()
     for i in range(1, p + 1):
-        _add_term(
-            numerator,
-            Monomial(x=p - i + 1, y=(p + i) * (p - i + 1) // 2, z=2 * p - i + 1),
-            1,
-        )
+        numerator[Monomial(x=p - i + 1, y=(p + i) * (p - i + 1) // 2, z=2 * p - i + 1)] += 1
     return RationalGF(numerator, denominator)
 
 
 def closed_form_G(p: int) -> RationalGF:
     """Rational form of the joint (length, inner points) series."""
     validate_alphabet(p)
-    denominator: Terms = {UNIT: 1}
+    denominator = Counter({UNIT: 1})
     for i in range(1, p + 1):
         tail = (p - i) * (p + i - 3)
-        _add_term(denominator, Monomial(x=p - i + 1, q=(tail + 2 * (i - 1)) // 2), -1)
-    numerator = dict(denominator)
+        denominator[Monomial(x=p - i + 1, q=(tail + 2 * (i - 1)) // 2)] -= 1
+    numerator = denominator.copy()
     for i in range(1, p + 1):
-        _add_term(numerator, Monomial(x=p - i + 1, q=(p - i) * (p + i - 3) // 2), 1)
+        numerator[Monomial(x=p - i + 1, q=(p - i) * (p + i - 3) // 2)] += 1
     return RationalGF(numerator, denominator)
 
 

@@ -251,6 +251,18 @@ def test_table_discrepancies_ignores_unpublished_cells():
     assert table_discrepancies(1, {9: [1, 2, 3]}) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["tables --which 5", "series --p 2 --kind X --order 3"],
+)
+def test_argparse_rejects_unknown_table_and_kind(capsys, argv):
+    # cmd_tables and cmd_series rely on these choices and check them no further
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # biject
 
@@ -1080,6 +1092,125 @@ def test_pinned_output(capsys, case):
     code, out, err = run_cli(capsys, *case.split())
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CASES[case]
+
+
+# sha256 of stdout of the joint F/G series, one line per case, captured
+# while ``to_text`` still kept its own sign loop; every case exits 0 with
+# no stderr.
+
+PINNED_JOINT_STDOUT_SHA256 = """
+series --p 1 --kind F --order 0 --format plain 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865
+series --p 1 --kind F --order 0 --format json 39d221d1cc0ac9bd0a1c14fecd0da217c26b291ca7b09ca6a1dc2763fdd2a02d
+series --p 1 --kind F --order 1 --format plain 34378963f8f3b843eeb95a5743e2e52eae7eab381a70b67d72310af412e881cd
+series --p 1 --kind F --order 1 --format json c4488e7975ca67ff636f3d8f7a75a54b46558d0e12ca3a62657cfeecf7b97eb6
+series --p 1 --kind F --order 2 --format plain 4d9d27c8b859694cac71332efb86d5517e2b4cac201ff655c8913d38c189c3c3
+series --p 1 --kind F --order 2 --format json b5dbcc7e0adb34d52998595468be7d32b83b9d16f15c726dadbe82218d55d966
+series --p 1 --kind F --order 7 --format plain c5aa2306654919f014e8c96a131eb7d7f33ffed6b0183237d7fbeba4bd0bb3f0
+series --p 1 --kind F --order 7 --format json 55454a63e0add83021c490439c64836aae27f71f71d68cc93278e00d124e392d
+series --p 1 --kind F --order 30 --format plain e39f28f31a12b8f19a35b0730bb96ec6e3df89bf5e107eea3545932264296b17
+series --p 1 --kind F --order 30 --format json ea7604f5c1a3d99ecaf345408480c0e19ed6db4249c08d4791184052f1d70c12
+series --p 2 --kind F --order 0 --format plain 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865
+series --p 2 --kind F --order 0 --format json 34973d8ac6d5bf809f839570e72608f43dfa5d7ff94118c0fa97a0864bfd7c9f
+series --p 2 --kind F --order 1 --format plain 7d6c2c5951a2bc332aae00e44d6e280479df535bb8f257159a16324f7339d271
+series --p 2 --kind F --order 1 --format json 8c287639e4322aa219d62c7f10a54818d650266f7a93b4d515852b4a74c28275
+series --p 2 --kind F --order 2 --format plain 019fea8a2aa3a953840863728b6e16f49750fd2066a1a63f7d1f695efda91b86
+series --p 2 --kind F --order 2 --format json 1dc8b02b894e77c3af596074a32d39a2fbce24c4d01be9dcf68cac7a8f555de2
+series --p 2 --kind F --order 7 --format plain 2222de95c2b86a21e3e9048e8aa0142da0ae56d0a19d4347ba911a93e844675f
+series --p 2 --kind F --order 7 --format json 253bcf11bbc7bcc11d9f12261e35a1a774e2ad1c023996d28392b723d5c35ada
+series --p 2 --kind F --order 30 --format plain f32618d7e34c4a6829574c3bacc2143396511d19d2b72ba64370b0b245cce004
+series --p 2 --kind F --order 30 --format json f72970a657b91adaa891d3c951810d1e0116ae6755b306529206bec782286a79
+series --p 3 --kind F --order 0 --format plain 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865
+series --p 3 --kind F --order 0 --format json 0eb0c5e2c46649e57bd9d37e190643198a90509bb758d8ae18cf7d5271ac2631
+series --p 3 --kind F --order 1 --format plain 87b995cd433b2dab8a70790f05ea8e0f49a248310e0a2d54288b9d0a6ccfea23
+series --p 3 --kind F --order 1 --format json 720c2d94cde47eec7ed541c53b182afc1a24a877bb0297286e2bbcd18ffaba9c
+series --p 3 --kind F --order 2 --format plain 6e8287ba8001863c95f01285e04ade4b2c6e6bc63dd7bae1872d916466ce8266
+series --p 3 --kind F --order 2 --format json e775f3a140b9d1233803a0da20f24ec8a0aea3127d6f39f10f9bab34e9689cc1
+series --p 3 --kind F --order 7 --format plain 8a8928b605dcc5cc144fde3d2f110c6c276891c556f9b1126dbe5b7655b4dcec
+series --p 3 --kind F --order 7 --format json 2a22fcf76ffd00027e060a8b98a89e0d6c94a918b00116f1ef59dc58d4504169
+series --p 3 --kind F --order 30 --format plain 92e7b020e49b71a7acaa70b454200c36c26fa64e1bc7abb8ad797d9e14d17909
+series --p 3 --kind F --order 30 --format json dfb569924b8ce16b3def4489abf2badfb5d0c04503130df10b6c07d795785fe3
+series --p 5 --kind F --order 0 --format plain 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865
+series --p 5 --kind F --order 0 --format json c9366b88fc7b78e2f28714425d0fafcf07e0831bb0166b2e989cf1ed5ded91a4
+series --p 5 --kind F --order 1 --format plain 72bfbd9d989f5f52842bb94775d5cc43b2f3a82e9e48c05b0e9580ef5c39783e
+series --p 5 --kind F --order 1 --format json ce1405678dae09be4f9b8a06ec2067ef983cbf6b0e9e91debf1f94547bd0cf0f
+series --p 5 --kind F --order 2 --format plain e3de52c027f0b0700a11c29fa97fe5e4afce661d9f84146533fdc4d5489c53b0
+series --p 5 --kind F --order 2 --format json 8f79de01f84c37a6126fe98cd1a6725cf0ca2200ab8b7e4dddb3bad969c2a83f
+series --p 5 --kind F --order 7 --format plain 6bcab38a0700f7b8e9f798421f8bcf131868927dc5a5a8e3bfb82137ba879d57
+series --p 5 --kind F --order 7 --format json 3374b136ccc0659cf18eab46446b467d7806cd12e85604286d7b5a9b61691427
+series --p 5 --kind F --order 30 --format plain 48b88d4064f346af6f536f785f91d57c37a23b66f97711626d1331baccf8e052
+series --p 5 --kind F --order 30 --format json 3dc77fd6485031547592f8d6a05ea3104cf67fb1c335001f28afe7603248de56
+series --p 8 --kind F --order 0 --format plain 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865
+series --p 8 --kind F --order 0 --format json 277c3f8ce5fe168db57044654978743d1fa212cbfca2214720dec0abd2701839
+series --p 8 --kind F --order 1 --format plain b169ad3aed5a1f64b6c6164c53b4b4b24e16a06d3062f0cdbf7b49ec497cb97b
+series --p 8 --kind F --order 1 --format json 26e218fe69ac70d6c3c3456b578f7433b4d3908996cb30f2665a8fc96e7c054e
+series --p 8 --kind F --order 2 --format plain 2b3ab91e02c6544aa39d7334644e6191083911a493d955f5465b7bc766f7a03b
+series --p 8 --kind F --order 2 --format json 29068be3a2b51f3cfa182dedd610cc8ac45626481ab3d1778ee7a77865565ed8
+series --p 8 --kind F --order 7 --format plain 42582274e23d96ac6ff491dfda554698f5e7b9cb93fd6411a140a790d0212018
+series --p 8 --kind F --order 7 --format json 794998a526cf9a10a0022adba6765a0e035602bf33250b3f036f16c0ff6459a6
+series --p 8 --kind F --order 30 --format plain a317b9b67d6cf7601df4cebf9e8fea42647026638668dc270f602d3bec740ff0
+series --p 8 --kind F --order 30 --format json 51b8cab7227d105b7b82dd736ef9bb027eb553c1983e933169916c23a1d88a52
+series --p 1 --kind G --order 0 --format plain 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865
+series --p 1 --kind G --order 0 --format json 68b7eb3c5dde5e334b679ad71025fde73690a14a2a4b5c2f971045013a57d561
+series --p 1 --kind G --order 1 --format plain 5b23ed9cfc25ff3af61f35293c4473816c61150c2eae4ffc1cf0a4ed5eae11d1
+series --p 1 --kind G --order 1 --format json 1364d717c5391b43883d5096b2455fb79443fca6eb4340d9b2d7b905611373ee
+series --p 1 --kind G --order 2 --format plain d673c130a20b5a120a2421263fcc12f018fc9a9eb404677cc3fd044886006adf
+series --p 1 --kind G --order 2 --format json 90c84bb433bb35de7709f1605f6c1d2c089c53d5a133a3472822a9ed4e296e26
+series --p 1 --kind G --order 7 --format plain 42f2a62862929e126a768fe6269a278f9edf26490acf06b9b03ee769764bd5ce
+series --p 1 --kind G --order 7 --format json 637fa589d092e5c13de111197eae6e18351000eba1ecf1253b81d37bc0c1b119
+series --p 1 --kind G --order 30 --format plain dda02a8f0189d462983ec385361ef31ce02074a6842b41992926df7c0e50fafd
+series --p 1 --kind G --order 30 --format json e52f43035d98ecea6f56d3d6515d2cda4136bafafdbbc7643fdb65adaea3f561
+series --p 2 --kind G --order 0 --format plain 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865
+series --p 2 --kind G --order 0 --format json f7195fbd686950b5ab5dc422def1bd16c40b4b742b213eb7e55158b378d0eb92
+series --p 2 --kind G --order 1 --format plain 5b23ed9cfc25ff3af61f35293c4473816c61150c2eae4ffc1cf0a4ed5eae11d1
+series --p 2 --kind G --order 1 --format json 31a8d371676f7bc593c0748fe63efdb7f4ad75312365e8595d5c4efaa225b6e0
+series --p 2 --kind G --order 2 --format plain 1b4bedc69710312d3a8cb4a8492361f791474ddc60aea484d0da422abc333060
+series --p 2 --kind G --order 2 --format json 3c99fe61486233aaff62287477bdaf11738161ed48b907b0a977f9cb1ea4701a
+series --p 2 --kind G --order 7 --format plain a016cd2325b10d0d397f98df3d079223492dbe9cae1d5bdb81627c141514e1cb
+series --p 2 --kind G --order 7 --format json 0c385829c0cdac579055cf6452d2f223359223f3bcf2b2d5c8fcc6e0c0b44eec
+series --p 2 --kind G --order 30 --format plain 2a504c445343c862b1366583e59fc994000fe70214c8f150c2f30d7575f98422
+series --p 2 --kind G --order 30 --format json 15eb06b190f5405c1ebe005a79ccb083e49ceb1009c2e54712f7e7fafe3f3f90
+series --p 3 --kind G --order 0 --format plain 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865
+series --p 3 --kind G --order 0 --format json b78959f410dcf8a390f2df933fe9fb8fd6c9927c32419506826488d0d1cee865
+series --p 3 --kind G --order 1 --format plain 5b23ed9cfc25ff3af61f35293c4473816c61150c2eae4ffc1cf0a4ed5eae11d1
+series --p 3 --kind G --order 1 --format json 3049b37e8aa67e8f92634ebe183e9a2012acb0f99d134e793dd4704df18575e9
+series --p 3 --kind G --order 2 --format plain 08601cbb76bbd1df2b64281be4dfcb140e19040a319210f9b0fc78f295303b87
+series --p 3 --kind G --order 2 --format json 71d25d2088bc9e20370b436bc3b903b6c3167f644fc8c40038546cea645fd18f
+series --p 3 --kind G --order 7 --format plain 30ef1f7ef25386d42edd4fcd65f957c53eed6cdd3bde5fd4163d45b653c12019
+series --p 3 --kind G --order 7 --format json a849432ee1998eeebb02557e46a2971e8a1bf1617de43c7027460687c3fcd3b6
+series --p 3 --kind G --order 30 --format plain bbf07826152343e1f89757f79f759076ad6b123913e22ad8b880ad7a279a0809
+series --p 3 --kind G --order 30 --format json afc210cbb0ba5a47276e6b7a7c49aca3c85e63827735a68d7cb5c19dcc02d2d1
+series --p 5 --kind G --order 0 --format plain 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865
+series --p 5 --kind G --order 0 --format json 9512d4ebf1b17fa73fbab6006e34fd7808c2c8ffd12c69f73086cf5e43965a0b
+series --p 5 --kind G --order 1 --format plain 5b23ed9cfc25ff3af61f35293c4473816c61150c2eae4ffc1cf0a4ed5eae11d1
+series --p 5 --kind G --order 1 --format json 4a3a6705e243eeb8eadddff6209eabb26ca04e339a6e2f856be9d6aba4b714af
+series --p 5 --kind G --order 2 --format plain df9e5a9b1a511f1ea4abf6c0d7a1474aeefec6e9a0cfd031e3178752117d8376
+series --p 5 --kind G --order 2 --format json e3a15d6c607172c3670d7d27c4488c922579729f0e6b410a4d665bc1d7e1e14d
+series --p 5 --kind G --order 7 --format plain 27e6aa887b9ee83635a791ade600b9773628a596a02d4879cc597b14578d472b
+series --p 5 --kind G --order 7 --format json 64984f7aa509af86bd66ba950538a6f668c8ebb450949960dd69d96398395315
+series --p 5 --kind G --order 30 --format plain f515a6c63c31e41ddc085cb669416aaad27e192378260549c14877a634b5cb56
+series --p 5 --kind G --order 30 --format json 0497b1d30bbe7e84f279e73bd6389d0282518c945999770ec58d3cd11b7b76c9
+series --p 8 --kind G --order 0 --format plain 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865
+series --p 8 --kind G --order 0 --format json df58d9c907dc89021b28b5e0fff4a0953bf778ad63be8d259a6fe5a200ee5f81
+series --p 8 --kind G --order 1 --format plain 5b23ed9cfc25ff3af61f35293c4473816c61150c2eae4ffc1cf0a4ed5eae11d1
+series --p 8 --kind G --order 1 --format json cf8a6a9b98fdc5605ebc0a2cc977eda87caab0937c3003908ff4e238dfaae835
+series --p 8 --kind G --order 2 --format plain 1b8aea82dd0a866977dc61a092beb8b5e06b804a257bf6731aba9e69f3768823
+series --p 8 --kind G --order 2 --format json 1cc63bfcca340bf4f1356a5e2d29ca7c6e3889f1b8e6b6dbce793950f7f00b5c
+series --p 8 --kind G --order 7 --format plain 6e3f6f5374ff60611369634e0e4f33836ca6a2ad0b0a21748efd34cbe9ffbc28
+series --p 8 --kind G --order 7 --format json 9b3c0c892b66b77eb554d4ce6006c3c9336f3b6dd219de68f2c04aed07a91259
+series --p 8 --kind G --order 30 --format plain d055c8eee66be89e7653a991d9adebec0023a7bae83bf7218e80871c93b763c5
+series --p 8 --kind G --order 30 --format json 3845d39378277f4a429faf24026e3291c51afb64dee8baa98185713c61992561
+"""
+
+PINNED_JOINT_CASES = dict(
+    line.rsplit(" ", 1) for line in PINNED_JOINT_STDOUT_SHA256.strip().splitlines()
+)
+
+
+@pytest.mark.parametrize("case", list(PINNED_JOINT_CASES))
+def test_pinned_joint_series_output(capsys, case):
+    code, out, err = run_cli(capsys, *case.split())
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JOINT_CASES[case]
 
 
 @pytest.mark.parametrize(

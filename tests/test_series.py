@@ -376,6 +376,12 @@ def test_to_text_trivial_cases():
     assert TruncatedSeries(0, {UNIT: 1}).to_text() == "1"
     assert TruncatedSeries(2, {M(x=2): 3}).to_text() == "3*x^2"
     assert TruncatedSeries(1, {M(x=1): 1, UNIT: 1}).to_text() == "1 + x"
+    assert TruncatedSeries(0, {UNIT: -1, M(y=1): 1}).to_text() == "-1 + y"
+    assert TruncatedSeries(3, {UNIT: 1, M(x=3, y=1): -2}).to_text() == "1 - 2*y*x^3"
+    assert TruncatedSeries(2, {M(x=2, y=1): -1, M(x=2, z=2): 5}).to_text() == "(-y + 5*z^2)*x^2"
+    mixed = {UNIT: 1, M(x=1, q=1): -1, M(x=1, y=2): 1, M(x=2, y=1, q=1): -3}
+    assert TruncatedSeries(2, mixed).to_text() == "1 + (-q + y^2)*x - 3*y*q*x^2"
+    assert TruncatedSeries(2, {UNIT: 1, M(x=2): 1}).to_text() == "1 + x^2"
 
 
 def test_json_terms_roundtrip():
