@@ -17,9 +17,7 @@ from .bijections import (
     word_to_composition,
 )
 from .geometry import (
-    AggregateStats,
     PickReport,
-    aggregate_stats,
     area,
     inner_points,
     pick_report,
@@ -64,7 +62,6 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateStats",
     "BinaryWord",
     "Composition",
     "DEFAULT_WORD_CAP",
@@ -75,7 +72,6 @@ __all__ = [
     "PickReport",
     "RationalGF",
     "TruncatedSeries",
-    "aggregate_stats",
     "area",
     "area_count_sequence",
     "binary_to_word",

@@ -53,11 +53,10 @@ def _emit_json(payload: dict) -> None:
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
-    flag = getattr(args, "max_words", None)
-    if flag is not None:
-        if flag < 1:
+    if args.max_words is not None:
+        if args.max_words < 1:
             raise ValueError("--max-words must be >= 1")
-        return flag
+        return args.max_words
     env = os.environ.get(CAP_ENV_VAR)
     if env:
         try:

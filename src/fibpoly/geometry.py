@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import FibWord, enumerate_words
+from .words import FibWord
 
 
 @dataclass(frozen=True)
@@ -24,22 +24,6 @@ class PickReport:
     def pick_holds(self) -> bool:
         """Lattice-polygon identity: area equals inn + sper - 1."""
         return self.area == self.inn + self.sper - 1
-
-
-@dataclass(frozen=True)
-class AggregateStats:
-    """Totals of the three statistics over all words of one length."""
-
-    p: int
-    n: int
-    count: int
-    total_area: int
-    total_sper: int
-    total_inner: int
-
-    @property
-    def identity_holds(self) -> bool:
-        return self.count == self.total_inner + self.total_sper - self.total_area
 
 
 def area(w: FibWord) -> int:
@@ -67,21 +51,6 @@ def pick_report(w: FibWord) -> PickReport:
     return PickReport(area=area(w), sper=semiperimeter(w), inn=inner_points(w))
 
 
-def aggregate_stats(p: int, n: int, cap: int | None = None) -> AggregateStats:
-    """Sum area, semi-perimeter and inner points over every word of length n >= 1."""
-    if n < 1:
-        raise ValueError(f"aggregate statistics need n >= 1, got {n}")
-    words = enumerate_words(p, n, cap=cap)
-    return AggregateStats(
-        p=p,
-        n=n,
-        count=len(words),
-        total_area=sum(area(w) for w in words),
-        total_sper=sum(semiperimeter(w) for w in words),
-        total_inner=sum(inner_points(w) for w in words),
-    )
-
-
 def render_ascii(w: FibWord, glyph: str = "#") -> str:
     """Monospace drawing of the bargraph, one character column per digit.
 
@@ -98,8 +67,9 @@ def render_ascii(w: FibWord, glyph: str = "#") -> str:
     return "\n".join(lines)
 
 
-def render_svg(w: FibWord, cell: int = 24) -> str:
-    """Self-contained SVG drawing of the bargraph, one rect per unit cell."""
+def render_svg(w: FibWord) -> str:
+    """Self-contained SVG drawing of the bargraph, one 24-pixel rect per unit cell."""
+    cell = 24
     n = len(w)
     height = max(w.digits) if w.digits else 0
     width_px, height_px = n * cell, height * cell

@@ -12,6 +12,8 @@ digits): independence is the point, so the duplication is intentional.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .geometry import PickReport
 from .series import Monomial, TruncatedSeries
 from .words import (
@@ -23,8 +25,6 @@ from .words import (
     successor_digits,
     validate_alphabet,
 )
-
-STATISTICS = ("area_sper", "inner")
 
 
 def lattice_stats(w: FibWord) -> PickReport:
@@ -57,35 +57,31 @@ def lattice_stats(w: FibWord) -> PickReport:
 
 
 def brute_force_generating_series(
-    p: int, x_bound: int, statistic: str = "area_sper", cap: int | None = None
-) -> TruncatedSeries:
-    """Joint series accumulated word by word from lattice statistics.
+    p: int, x_bound: int, cap: int = DEFAULT_WORD_CAP
+) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Both joint series (F, G), accumulated word by word from lattice statistics.
 
-    ``statistic`` selects the marks: "area_sper" records x^len y^area
-    z^sper, "inner" records x^len q^inn.  The empty word contributes 1.
+    F records x^len y^area z^sper and G records x^len q^inn for every
+    word, in one scan.  The empty word contributes 1 to each.
     """
     validate_alphabet(p)
-    if statistic not in STATISTICS:
-        raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
-    if cap is None:
-        cap = DEFAULT_WORD_CAP
     total = sum(count_words(p, n) for n in range(x_bound + 1))
     if total > cap:
         raise EnumerationCapError(total, cap)
 
-    terms: dict[Monomial, int] = {Monomial(): 1}
+    f_terms: Counter = Counter({Monomial(): 1})
+    g_terms: Counter = Counter({Monomial(): 1})
     for n in range(1, x_bound + 1):
         for digits in iter_word_digits(p, n):
             report = lattice_stats(FibWord(p, digits))
-            if statistic == "area_sper":
-                mono = Monomial(x=n, y=report.area, z=report.sper)
-            else:
-                mono = Monomial(x=n, q=report.inn)
-            terms[mono] = terms.get(mono, 0) + 1
-    return TruncatedSeries(x_bound, terms)
+            f_terms[Monomial(x=n, y=report.area, z=report.sper)] += 1
+            g_terms[Monomial(x=n, q=report.inn)] += 1
+    return TruncatedSeries(x_bound, f_terms), TruncatedSeries(x_bound, g_terms)
 
 
-def brute_force_area_distribution(p: int, max_area: int, cap: int | None = None) -> list[int]:
+def brute_force_area_distribution(
+    p: int, max_area: int, cap: int = DEFAULT_WORD_CAP
+) -> list[int]:
     """Count words by digit sum, for sums 0 .. max_area, by pruned search.
 
     Every word whose digit sum fits the bound is visited exactly once;
@@ -94,8 +90,6 @@ def brute_force_area_distribution(p: int, max_area: int, cap: int | None = None)
     validate_alphabet(p)
     if max_area < 0:
         raise ValueError(f"max_area must be >= 0, got {max_area}")
-    if cap is None:
-        cap = DEFAULT_WORD_CAP
 
     counts = [0] * (max_area + 1)
     counts[0] = 1

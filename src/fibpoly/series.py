@@ -63,8 +63,6 @@ from typing import Callable, NamedTuple
 
 from .words import validate_alphabet
 
-VARIABLES = ("x", "y", "z", "q")
-
 
 class Monomial(NamedTuple):
     """Exponent vector over the variables (x, y, z, q)."""
@@ -232,36 +230,9 @@ class TruncatedSeries:
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(mono, 0)
 
-    def univariate_coefficients(self) -> list[int]:
-        """Coefficients by x-degree; requires a series in x alone."""
-        coeffs = [0] * (self.x_bound + 1)
-        for x, layer in enumerate(self._layers):
-            for key, c in layer.items():
-                if key:
-                    mono = Monomial(x, *_unpack(key))
-                    raise ValueError(f"series is not univariate in x: contains {mono}")
-                coeffs[x] = c
-        return coeffs
-
-    def substitute_one(self, *variables: str) -> "TruncatedSeries":
-        """Set the named variables to 1, merging terms that collide."""
-        for v in variables:
-            if v not in VARIABLES:
-                raise ValueError(f"unknown variable {v!r}")
-        keep = -1
-        if "y" in variables:
-            keep &= (1 << _Y_SHIFT) - 1
-        if "z" in variables:
-            keep &= ~(MAX_FIELD_EXPONENT << _Z_SHIFT)
-        if "q" in variables:
-            keep &= ~MAX_FIELD_EXPONENT
-        out: list[Layer] = [{} for _ in self._layers]
-        for x, layer in enumerate(self._layers):
-            target = out[0 if "x" in variables else x]
-            for key, c in layer.items():
-                key &= keep
-                target[key] = target.get(key, 0) + c
-        return self._of(self.x_bound, [_checked(layer) for layer in out])
+    def layer_sums(self) -> list[int]:
+        """Coefficients by x-degree of the series at y = z = q = 1."""
+        return [sum(layer.values()) for layer in self._layers]
 
     def to_text(self) -> str:
         """Canonical text form, terms grouped by ascending x-degree."""

@@ -30,7 +30,7 @@ def _composition_inverts(w: FibWord, area: int) -> bool:
     return bijections.composition_to_word(composition) == w and composition.total() == area
 
 
-def run_verification(p: int, n_max: int, cap: int | None = None) -> list[CheckResult]:
+def run_verification(p: int, n_max: int, cap: int = DEFAULT_WORD_CAP) -> list[CheckResult]:
     """Cross-check every computation path for one alphabet bound.
 
     Covers the per-word and aggregate lattice-point identities, equality
@@ -39,13 +39,10 @@ def run_verification(p: int, n_max: int, cap: int | None = None) -> list[CheckRe
     both bijection roundtrips, and the area-count recurrence.
 
     Raises EnumerationCapError before any other work if the words of
-    lengths 0 .. n_max number more than ``cap`` (default
-    ``DEFAULT_WORD_CAP``), or if the pruned area search, which runs first,
-    would visit more than ``cap`` words.
+    lengths 0 .. n_max number more than ``cap``, or if the pruned area
+    search, which runs first, would visit more than ``cap`` words.
     """
     words.validate_alphabet(p)
-    if cap is None:
-        cap = DEFAULT_WORD_CAP
     total_words = sum(words.count_words(p, n) for n in range(n_max + 1))
     if total_words > cap:
         raise EnumerationCapError(total_words, cap)
@@ -85,8 +82,6 @@ def run_verification(p: int, n_max: int, cap: int | None = None) -> list[CheckRe
     closed_f = series.expand_rational(series.closed_form_F(p), n_max)
     closed_g = series.expand_rational(series.closed_form_G(p), n_max)
     expected_counts = [words.count_words(p, n) for n in range(n_max + 1)]
-    f_counts = dp_f.substitute_one("y", "z").univariate_coefficients()
-    g_counts = dp_g.substitute_one("q").univariate_coefficients()
     return [
         CheckResult(
             "pick-identity-per-word",
@@ -111,7 +106,7 @@ def run_verification(p: int, n_max: int, cap: int | None = None) -> list[CheckRe
         ),
         CheckResult(
             "count-specialization",
-            f_counts == expected_counts and g_counts == expected_counts,
+            dp_f.layer_sums() == expected_counts and dp_g.layer_sums() == expected_counts,
             f"y=z=1 and q=1 recover word counts, n <= {n_max}",
         ),
         CheckResult(

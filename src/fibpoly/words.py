@@ -219,14 +219,12 @@ def count_words(p: int, n: int) -> int:
     return fibonacci_number(p, n + 1)
 
 
-def enumerate_words(p: int, n: int, cap: int | None = None) -> list[FibWord]:
+def enumerate_words(p: int, n: int, cap: int = DEFAULT_WORD_CAP) -> list[FibWord]:
     """All words of length n in ascending lexicographic order.
 
     Raises EnumerationCapError before doing any work if the word count
-    exceeds ``cap`` (default ``DEFAULT_WORD_CAP``).
+    exceeds ``cap``.
     """
-    if cap is None:
-        cap = DEFAULT_WORD_CAP
     expected = count_words(p, n)
     if expected > cap:
         raise EnumerationCapError(expected, cap)

@@ -10,7 +10,6 @@ import itertools
 from fibpoly import (
     BinaryWord,
     Composition,
-    aggregate_stats,
     area_count_sequence,
     binary_to_word,
     brute_force_area_distribution,
@@ -143,21 +142,28 @@ def test_c05_series_fixtures():
     print("criterion 05 (printed series expansions, term for term): PASS")
 
 
+def _totals(p, n):
+    """(count, inner, sper, area) summed over the words of length n."""
+    reports = [pick_report(w) for w in enumerate_words(p, n)]
+    return (
+        len(reports),
+        sum(r.inn for r in reports),
+        sum(r.sper for r in reports),
+        sum(r.area for r in reports),
+    )
+
+
 def test_c06_pick_identity_per_word_and_aggregate():
     for p in range(1, 6):
         for n in range(1, 13):
             for w in enumerate_words(p, n):
                 assert pick_report(w).pick_holds
-            st = aggregate_stats(p, n)
-            assert st.count == st.total_inner + st.total_sper - st.total_area
-            assert st.count == count_words(p, n)
-    worked = aggregate_stats(4, 5)
-    assert (worked.count, worked.total_inner, worked.total_sper, worked.total_area) == (
-        15,
-        124,
-        152,
-        261,
-    )
+            count, inner, sper, area = _totals(p, n)
+            assert count == inner + sper - area
+            assert count == count_words(p, n)
+    assert _totals(4, 5) == (15, 124, 152, 261)
+    assert _totals(2, 3) == (3, 3, 16, 16)
+    assert _totals(3, 1) == (1, 0, 4, 3)
     print("criterion 06 (pick identity, per word and aggregate, incl. 15 = 124 + 152 - 261): PASS")
 
 
@@ -168,8 +174,8 @@ def test_c07_transfer_recurrence_equals_closed_forms():
         assert dp_f == expand_rational(closed_form_F(p), 15)
         assert dp_g == expand_rational(closed_form_G(p), 15)
         expected = [count_words(p, n) for n in range(16)]
-        assert dp_f.substitute_one("y", "z").univariate_coefficients() == expected
-        assert dp_g.substitute_one("q").univariate_coefficients() == expected
+        assert dp_f.layer_sums() == expected
+        assert dp_g.layer_sums() == expected
     print("criterion 07 (transfer recurrence = closed forms, counts recovered): PASS")
 
 
@@ -178,8 +184,7 @@ def test_c08_lattice_oracle_agreement():
         for n in range(1, 10):
             for w in enumerate_words(p, n):
                 assert lattice_stats(w) == pick_report(w)
-        assert brute_force_generating_series(p, 9, "area_sper") == series_F_dp(p, 9)
-        assert brute_force_generating_series(p, 9, "inner") == series_G_dp(p, 9)
+        assert brute_force_generating_series(p, 9) == (series_F_dp(p, 9), series_G_dp(p, 9))
     print("criterion 08 (lattice oracle = closed forms and transfer series): PASS")
 
 

@@ -40,6 +40,16 @@ def check_schema(payload):
 # count / words / stats
 
 
+def test_all_names_resolve_and_star_import_binds_them():
+    assert len(set(fibpoly.__all__)) == len(fibpoly.__all__)
+    namespace = {}
+    exec("from fibpoly import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(fibpoly.__all__)
+    for name in fibpoly.__all__:
+        assert namespace[name] is getattr(fibpoly, name)
+
+
 def test_count_plain(capsys):
     code, out, _ = run_cli(capsys, "count", "--p", "3", "--n", "4")
     assert code == EXIT_OK
@@ -70,6 +80,12 @@ def test_count_huge_alphabet(capsys):
     assert (code, out) == (EXIT_OK, "4\n")
 
 
+# the int/str digit limit and its sys functions exist from Python 3.11 on
+needs_int_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit before 3.11"
+)
+
+
 def _decimal_digits(value):
     """str(value) past the int/str digit limit, with the limit restored after."""
     saved = sys.get_int_max_str_digits()
@@ -80,6 +96,7 @@ def _decimal_digits(value):
         sys.set_int_max_str_digits(saved)
 
 
+@needs_int_str_limit
 def test_count_beyond_int_str_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     expected = _decimal_digits(count_words(2, 50000))
@@ -92,12 +109,24 @@ def test_count_beyond_int_str_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@needs_int_str_limit
 def test_argv_keeps_the_int_str_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     with pytest.raises(SystemExit):
         main(["count", "--p", "2", "--n", "9" * (limit + 1)])
     capsys.readouterr()
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_count_without_int_str_digit_limit(capsys, monkeypatch):
+    # the Python 3.10 branch: with no getter, the limit is never set
+    expected = (EXIT_OK, f"{count_words(2, 500)}\n", "")
+    assert run_cli(capsys, "count", "--p", "2", "--n", "500") == expected
+    limits_set = []
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", limits_set.append, raising=False)
+    assert run_cli(capsys, "count", "--p", "2", "--n", "500") == expected
+    assert limits_set == []
 
 
 def test_words_plain(capsys):
@@ -400,12 +429,48 @@ def _last_total_plus_one(real):
     return total_area_sequence
 
 
+def _last_layer_sum_plus_one(real):
+    def layer_sums(self):
+        sums = real(self)
+        return sums[:-1] + [sums[-1] + 1]
+
+    return layer_sums
+
+
+def _last_area_count_plus_one(real):
+    def area_count_sequence(p, max_area):
+        counts = real(p, max_area)
+        return counts[:-1] + [counts[-1] + 1]
+
+    return area_count_sequence
+
+
+def _closed_form_of_next_p(real):
+    def closed_form_G(p):
+        return real(p + 1)
+
+    return closed_form_G
+
+
+def _parts_5_5_to_other_word(real):
+    def composition_to_word(c):
+        return FibWord.from_text(3, "3233") if c.parts == (5, 5) else real(c)
+
+    return composition_to_word
+
+
 @pytest.mark.parametrize(
     "module, attr, corrupt, failing",
     [
         (oracle, "lattice_stats", _inner_off_by_one, {"lattice-oracle", "oracle-series"}),
         (bijections, "word_to_binary", _binary_of_other_word, {"binary-roundtrip"}),
         (series, "total_area_sequence", _last_total_plus_one, {"totals-vs-series"}),
+        (series.TruncatedSeries, "layer_sums", _last_layer_sum_plus_one,
+         {"count-specialization"}),
+        (series, "area_count_sequence", _last_area_count_plus_one, {"area-distribution"}),
+        (series, "closed_form_G", _closed_form_of_next_p, {"transfer-vs-closed-form"}),
+        (bijections, "composition_to_word", _parts_5_5_to_other_word,
+         {"composition-roundtrip"}),
     ],
 )
 def test_verify_detects_corrupted_input(capsys, monkeypatch, module, attr, corrupt, failing):
@@ -474,7 +539,7 @@ def test_verify_json(capsys):
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     import fibpoly.cli as cli_module
 
-    def broken(p, n_max, cap=None):
+    def broken(p, n_max, cap):
         return [cli_module.CheckResult("forced", False, "injected failure")]
 
     monkeypatch.setattr(cli_module, "run_verification", broken)

@@ -3,9 +3,7 @@ import pytest
 from fibpoly import (
     FibWord,
     PickReport,
-    aggregate_stats,
     area,
-    count_words,
     enumerate_words,
     inner_points,
     lattice_stats,
@@ -84,33 +82,6 @@ def test_pick_identity_exhaustive():
         for n in range(1, 13):
             for w in enumerate_words(p, n):
                 assert pick_report(w).pick_holds
-
-
-@pytest.mark.parametrize(
-    "p, n, expected",
-    [
-        (4, 5, (15, 261, 152, 124)),
-        (2, 3, (3, 16, 16, 3)),
-        (3, 1, (1, 3, 4, 0)),
-    ],
-)
-def test_aggregate_known_values(p, n, expected):
-    st = aggregate_stats(p, n)
-    assert (st.count, st.total_area, st.total_sper, st.total_inner) == expected
-    assert st.identity_holds
-
-
-def test_aggregate_identity_exhaustive():
-    for p in range(1, 6):
-        for n in range(1, 13):
-            st = aggregate_stats(p, n)
-            assert st.identity_holds
-            assert st.count == count_words(p, n)
-
-
-def test_aggregate_rejects_length_zero():
-    with pytest.raises(ValueError):
-        aggregate_stats(3, 0)
 
 
 def test_formulas_match_lattice_oracle():

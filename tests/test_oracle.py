@@ -115,14 +115,13 @@ def test_lattice_stats_rejects_empty_word():
 
 def test_brute_series_order_zero_is_one():
     for p in (1, 2, 5):
-        for statistic in ("area_sper", "inner"):
-            s = brute_force_generating_series(p, 0, statistic)
+        for s in brute_force_generating_series(p, 0):
             assert s.terms == {Monomial(): 1}
 
 
 def test_brute_series_area_sper_small():
     # p=2 words: 2 | 21, 22 | 212, 221, 222, statistics counted by hand
-    s = brute_force_generating_series(2, 3, "area_sper")
+    s, _ = brute_force_generating_series(2, 3)
     assert s.terms == {
         Monomial(): 1,
         Monomial(x=1, y=2, z=3): 1,
@@ -136,7 +135,7 @@ def test_brute_series_area_sper_small():
 
 def test_brute_series_inner_small():
     # p=3 words of length <= 2: 3 | 32, 33
-    s = brute_force_generating_series(3, 2, "inner")
+    _, s = brute_force_generating_series(3, 2)
     assert s.terms == {
         Monomial(): 1,
         Monomial(x=1): 1,
@@ -145,14 +144,9 @@ def test_brute_series_inner_small():
     }
 
 
-def test_brute_series_rejects_unknown_statistic():
-    with pytest.raises(ValueError):
-        brute_force_generating_series(2, 3, "perimeter")
-
-
 def test_brute_series_respects_cap():
     with pytest.raises(EnumerationCapError):
-        brute_force_generating_series(2, 10, "inner", cap=10)
+        brute_force_generating_series(2, 10, cap=10)
 
 
 def test_area_distribution_known_rows():

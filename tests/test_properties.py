@@ -217,7 +217,7 @@ def test_sequences_equal_series_expansion(p, order):
         (total_sper_sequence, gf_total_sper),
         (total_inner_sequence, gf_total_inner),
     ):
-        assert sequence(p, order) == expand_rational(gf(p), order).univariate_coefficients()
+        assert sequence(p, order) == expand_rational(gf(p), order).layer_sums()
 
 
 @given(p=st.integers(1, 64), max_area=st.integers(0, 400))
