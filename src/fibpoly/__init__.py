@@ -41,7 +41,6 @@ from .series import (
     gf_total_area,
     gf_total_inner,
     gf_total_sper,
-    parts_set,
     series_F_dp,
     series_G_dp,
     total_area_sequence,
@@ -57,6 +56,7 @@ from .words import (
     enumerate_words,
     fibonacci_number,
     is_valid_word,
+    parts_set,
 )
 
 __version__ = "0.1.0"

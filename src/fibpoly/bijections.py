@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import parts_set
-from .words import FibWord, validate_alphabet
+from .words import FibWord, parts_set, validate_alphabet
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,5 @@ def binary_to_word(b: BinaryWord) -> FibWord:
     """Rebuild the word: start at p, descend on 1, reset to p on 0."""
     digits = [b.p]
     for bit in b.bits:
-        if bit:
-            nxt = digits[-1] - 1
-            if nxt < 1:
-                raise ValueError("bit string would descend below digit 1")
-            digits.append(nxt)
-        else:
-            digits.append(b.p)
+        digits.append(digits[-1] - 1 if bit else b.p)
     return FibWord(b.p, tuple(digits))

@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import sys
-from importlib import resources
 
 from . import bijections, geometry, reference, series, words
 from .verify import CheckResult, run_verification
@@ -40,12 +39,6 @@ SERIES_KINDS = {
     "I": "total inner points by length (series in x)",
     "D": "word count by area (series in y)",
 }
-
-
-def output_schema() -> dict:
-    """The JSON schema that every JSON output of this CLI conforms to."""
-    path = resources.files("fibpoly").joinpath("schemas/cli_output.schema.json")
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _emit_json(payload: dict) -> None:
@@ -125,9 +118,7 @@ def _build_sequence(p: int, kind: str, order: int) -> list[int]:
         return series.total_sper_sequence(p, order)
     if kind == "I":
         return series.total_inner_sequence(p, order)
-    if kind == "D":
-        return series.area_count_sequence(p, order)
-    raise ValueError(f"unknown series kind {kind!r}")
+    return series.area_count_sequence(p, order)
 
 
 def cmd_series(args: argparse.Namespace) -> int:
@@ -303,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_p(sp, required=True):
-        sp.add_argument("--p", type=int, required=required, help="alphabet bound (>= 1)")
+    def add_p(sp):
+        sp.add_argument("--p", type=int, required=True, help="alphabet bound (>= 1)")
 
     def add_cap(sp):
         sp.add_argument(
@@ -367,16 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _unlimited_int_digits():
-    """Lift the int/str digit limit (Python >= 3.11) and restore it on exit.
+    """Lift the int/str digit limit (Python >= 3.10.7) and restore it on exit.
 
     Exact answers such as word counts run past the default 4300 digits;
     the limit stays in force while argv is parsed.
     """
-    get = getattr(sys, "get_int_max_str_digits", None)
-    if get is None:
-        yield
-        return
-    saved = get()
+    saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         yield

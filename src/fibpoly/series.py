@@ -23,8 +23,7 @@ integer addition, and integer order of keys is lexicographic order on
 (y, z, q).  z and q each get ``FIELD_BITS`` = 20 bits (exponents up to
 ``MAX_FIELD_EXPONENT`` = 2^20 - 1) plus one guard bit above the field;
 y is the top field and is unbounded.  ``Monomial`` objects exist only at
-the API boundary: the ``terms`` view, ``coefficient``, ``to_text`` and
-``to_json_terms``.
+the API boundary: the ``terms`` view, ``to_text`` and ``to_json_terms``.
 
 Overflow guard.  Packing a z or q exponent above the field, or any
 negative exponent, raises ``ValueError``.  A sum of two stored keys can
@@ -61,7 +60,7 @@ from itertools import zip_longest
 from operator import or_
 from typing import Callable, NamedTuple
 
-from .words import validate_alphabet
+from .words import parts_set, validate_alphabet
 
 
 class Monomial(NamedTuple):
@@ -213,11 +212,23 @@ class TruncatedSeries:
         return TermsView(self._layers)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The truncated product of two series with the same bound, layer by layer."""
         if not isinstance(other, TruncatedSeries):
             raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
         if self.x_bound != other.x_bound:
             raise ValueError(f"x_bound mismatch: {self.x_bound} != {other.x_bound}")
-        return _product(self, other)
+        bound = self.x_bound
+        left = [(i, layer) for i, layer in enumerate(self._layers) if layer]
+        right = [(j, layer) for j, layer in enumerate(other._layers) if layer]
+        if len(left) < len(right):
+            left, right = right, left
+        out: list[Layer] = [{} for _ in range(bound + 1)]
+        for i, layer_a in left:
+            for j, layer_b in right:
+                if i + j > bound:
+                    break
+                _mul_into(out[i + j], layer_a, layer_b)
+        return TruncatedSeries._of(bound, [_checked(layer) for layer in out])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -226,9 +237,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(x_bound={self.x_bound}, {self.to_text()})"
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self.terms.get(mono, 0)
 
     def layer_sums(self) -> list[int]:
         """Coefficients by x-degree of the series at y = z = q = 1."""
@@ -272,22 +280,6 @@ class TruncatedSeries:
         return out
 
 
-def _product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """The truncated product of two series with the same bound, layer by layer."""
-    bound = a.x_bound
-    left = [(i, layer) for i, layer in enumerate(a._layers) if layer]
-    right = [(j, layer) for j, layer in enumerate(b._layers) if layer]
-    if len(left) < len(right):
-        left, right = right, left
-    out: list[Layer] = [{} for _ in range(bound + 1)]
-    for i, layer_a in left:
-        for j, layer_b in right:
-            if i + j > bound:
-                break
-            _mul_into(out[i + j], layer_a, layer_b)
-    return TruncatedSeries._of(bound, [_checked(layer) for layer in out])
-
-
 def _grlex_rows(layer: Layer) -> list[tuple[int, int, int, int, int, int]]:
     """(degree, key, y, z, q, coefficient) rows of one layer in grlex order.
 
@@ -296,7 +288,7 @@ def _grlex_rows(layer: Layer) -> list[tuple[int, int, int, int, int, int]]:
     """
     rows = []
     for key, c in layer.items():
-        y, z, q = key >> _Y_SHIFT, key >> _Z_SHIFT & MAX_FIELD_EXPONENT, key & MAX_FIELD_EXPONENT
+        y, z, q = _unpack(key)
         rows.append((y + z + q, key, y, z, q, c))
     rows.sort()
     return rows
@@ -359,8 +351,6 @@ def expand_rational(gf: RationalGF, x_bound: int) -> TruncatedSeries:
     x-degree, so that coefficient extraction proceeds layer by layer; the
     result is verified by re-multiplication before it is returned.
     """
-    if x_bound < 0:
-        raise ValueError(f"x_bound must be >= 0, got {x_bound}")
     denominator = TruncatedSeries(x_bound, gf.denominator)
     den = denominator._layers
     if den[0] != _ONE:
@@ -563,12 +553,6 @@ def gf_total_inner(p: int) -> RationalGF:
     denominator constant term 1.
     """
     return _univariate_gf(_total_inner_fraction(p), "x")
-
-
-def parts_set(p: int) -> tuple[int, ...]:
-    """The p distinct block sums p + (p-1) + ... + i, in ascending order."""
-    validate_alphabet(p)
-    return tuple((p + i) * (p - i + 1) // 2 for i in range(p, 0, -1))
 
 
 def _area_counts_fraction(p: int) -> tuple[list[int], list[int]]:

@@ -1,4 +1,4 @@
-"""p-Fibonacci words: validation, counting, and ordered enumeration.
+"""p-Fibonacci words: validation, counting, ordered enumeration and block sums.
 
 A p-Fibonacci word is a word over the alphabet {1, ..., p} that starts
 with the digit p and in which every digit is followed either by the next
@@ -36,6 +36,12 @@ def validate_alphabet(p: int) -> None:
         raise ValueError(f"alphabet bound p must be >= 1, got {p}")
     if p > MAX_ALPHABET:
         raise ValueError(f"alphabet bound p={p} exceeds the limit {MAX_ALPHABET}")
+
+
+def parts_set(p: int) -> tuple[int, ...]:
+    """The p distinct sums p + (p-1) + ... + i of a maximal descending block, ascending."""
+    validate_alphabet(p)
+    return tuple((p + i) * (p - i + 1) // 2 for i in range(p, 0, -1))
 
 
 def fibonacci_number(p: int, n: int) -> int:
@@ -166,8 +172,6 @@ class FibWord:
     def from_text(cls, p: int, text: str) -> "FibWord":
         """Parse ``32321`` style digit strings (use commas when p > 9)."""
         text = text.strip()
-        if not text:
-            return cls(p, ())
         if "," in text:
             digits = tuple(int(part) for part in text.split(","))
         else:

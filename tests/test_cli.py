@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -18,7 +19,6 @@ from fibpoly.cli import (
     EXIT_RESOURCE,
     EXIT_VERIFY_FAILED,
     main,
-    output_schema,
     run_verification,
     table_discrepancies,
 )
@@ -30,6 +30,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def output_schema():
+    """The JSON schema shipped as package data, which every JSON output conforms to."""
+    path = resources.files("fibpoly").joinpath("schemas/cli_output.schema.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def check_schema(payload):
@@ -80,12 +86,6 @@ def test_count_huge_alphabet(capsys):
     assert (code, out) == (EXIT_OK, "4\n")
 
 
-# the int/str digit limit and its sys functions exist from Python 3.11 on
-needs_int_str_limit = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit before 3.11"
-)
-
-
 def _decimal_digits(value):
     """str(value) past the int/str digit limit, with the limit restored after."""
     saved = sys.get_int_max_str_digits()
@@ -96,7 +96,6 @@ def _decimal_digits(value):
         sys.set_int_max_str_digits(saved)
 
 
-@needs_int_str_limit
 def test_count_beyond_int_str_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     expected = _decimal_digits(count_words(2, 50000))
@@ -109,24 +108,12 @@ def test_count_beyond_int_str_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-@needs_int_str_limit
 def test_argv_keeps_the_int_str_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     with pytest.raises(SystemExit):
         main(["count", "--p", "2", "--n", "9" * (limit + 1)])
     capsys.readouterr()
     assert sys.get_int_max_str_digits() == limit
-
-
-def test_count_without_int_str_digit_limit(capsys, monkeypatch):
-    # the Python 3.10 branch: with no getter, the limit is never set
-    expected = (EXIT_OK, f"{count_words(2, 500)}\n", "")
-    assert run_cli(capsys, "count", "--p", "2", "--n", "500") == expected
-    limits_set = []
-    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-    monkeypatch.setattr(sys, "set_int_max_str_digits", limits_set.append, raising=False)
-    assert run_cli(capsys, "count", "--p", "2", "--n", "500") == expected
-    assert limits_set == []
 
 
 def test_words_plain(capsys):
@@ -1282,6 +1269,8 @@ def test_pinned_joint_series_output(capsys, case):
     "argv, err",
     [
         ("series --p 2 --kind A --order -1", "x_bound must be >= 0, got -1"),
+        ("series --p 2 --kind F --order -1", "x_bound must be >= 0, got -1"),
+        ("series --p 2 --kind G --order -1", "x_bound must be >= 0, got -1"),
         ("series --p 0 --kind S --order 5", "alphabet bound p must be >= 1, got 0"),
         ("series --p 65 --kind I --order 5", "alphabet bound p=65 exceeds the limit 64"),
         ("series --p 0 --kind A --order -1", "alphabet bound p must be >= 1, got 0"),

@@ -124,6 +124,7 @@ def test_fibword_text_roundtrip():
     assert w.digits == (3, 2, 3, 2, 1)
     assert str(w) == "32321"
     assert FibWord.from_text(3, "") == FibWord(3, ())
+    assert FibWord.from_text(3, "  ") == FibWord(3, ())
     assert FibWord.from_text(12, "12,11,12").digits == (12, 11, 12)
 
 
