@@ -9,6 +9,10 @@ Exit codes: 0 success, 2 invalid input, 3 verification failure,
 example by ``| head``).  The default cap of 10^7
 words can be raised or lowered with --max-words or the FIBPOLY_MAX_WORDS
 environment variable.
+
+``words`` streams its listing in chunks of words, in memory that grows
+with the word length n but not with the word count; the cap and the
+alphabet bound are still checked before any output is written.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import os
 import sys
 
 from . import bijections, geometry, reference, series, words
-from .verify import CheckResult, run_verification
+from .verify import run_verification
 from .words import DEFAULT_WORD_CAP, EnumerationCapError, FibWord
 
 EXIT_OK = 0
@@ -76,20 +80,19 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_words(args: argparse.Namespace) -> int:
-    found = words.enumerate_words(args.p, args.n, cap=_resolve_cap(args))
+    count = words.checked_word_count(args.p, args.n, _resolve_cap(args))
     if args.format == "json":
-        _emit_json(
-            {
-                "command": "words",
-                "p": args.p,
-                "n": args.n,
-                "count": len(found),
-                "words": [str(w) for w in found],
-            }
-        )
+        # json.dumps(..., sort_keys=True) of the payload, written piece by piece
+        head = (f'{{"command": "words", "count": {count}, "n": {args.n}, '
+                f'"p": {args.p}, "words": ["')
+        sep, tail = '", "', '"]}\n'
     else:
-        for w in found:
-            print(w)
+        head, sep, tail = "", "\n", "\n"
+    write = sys.stdout.write
+    write(head)
+    for chunk in words.listing_chunks(args.p, args.n, sep):
+        write(chunk)
+    write(tail)
     return EXIT_OK
 
 

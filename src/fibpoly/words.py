@@ -15,10 +15,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 MAX_ALPHABET = 64
 DEFAULT_WORD_CAP = 10_000_000
+# words turned into text at once by listing_chunks
+LISTING_CHUNK = 4096
+# byte values 0-9 to the ASCII digits, other bytes unchanged
+_ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 class EnumerationCapError(RuntimeError):
@@ -223,13 +228,45 @@ def count_words(p: int, n: int) -> int:
     return fibonacci_number(p, n + 1)
 
 
+def checked_word_count(p: int, n: int, cap: int) -> int:
+    """Number of length-n words, checked against ``cap`` before any word is made.
+
+    A negative n, then p < 1, raise ValueError from ``count_words``; p above
+    MAX_ALPHABET raises ValueError before the count, whose cost grows with
+    p and n; a count above ``cap`` raises EnumerationCapError.
+    """
+    if n >= 0 and p > MAX_ALPHABET:
+        validate_alphabet(p)
+    expected = count_words(p, n)
+    if expected > cap:
+        raise EnumerationCapError(expected, cap)
+    return expected
+
+
 def enumerate_words(p: int, n: int, cap: int = DEFAULT_WORD_CAP) -> list[FibWord]:
     """All words of length n in ascending lexicographic order.
 
     Raises EnumerationCapError before doing any work if the word count
     exceeds ``cap``.
     """
-    expected = count_words(p, n)
-    if expected > cap:
-        raise EnumerationCapError(expected, cap)
+    checked_word_count(p, n, cap)
     return [FibWord(p, digits) for digits in iter_word_digits(p, n)]
+
+
+def listing_chunks(p: int, n: int, sep: str) -> Iterator[str]:
+    """The length-n words as text, ``sep`` between words, LISTING_CHUNK words per chunk.
+
+    The chunks add up to ``sep.join(str(w) for w in enumerate_words(p, n))``
+    while only one chunk of words is held at a time.  ``sep`` is ASCII
+    with no character below "\\n".  No cap is checked here.
+    """
+    digits = iter_word_digits(p, n)
+    joiner = sep.encode("ascii")
+    lead = ""
+    while chunk := list(islice(digits, LISTING_CHUNK)):
+        if p <= 9:
+            text = joiner.join(map(bytes, chunk)).translate(_ASCII_DIGITS).decode("ascii")
+        else:
+            text = sep.join([",".join(map(str, word)) for word in chunk])
+        yield lead + text
+        lead = sep

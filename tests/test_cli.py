@@ -23,7 +23,8 @@ from fibpoly.cli import (
     table_discrepancies,
 )
 from fibpoly.geometry import PickReport, render_svg
-from fibpoly.words import FibWord, count_words
+from fibpoly.verify import CheckResult
+from fibpoly.words import FibWord, count_words, enumerate_words
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +153,96 @@ def test_words_cap_env_override(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "words", "--p", "2", "--n", "5", "--max-words", "100")
     assert code == EXIT_OK
     assert len(out.splitlines()) == 8
+
+
+def test_words_validates_p_before_the_cap(capsys):
+    # the 65-letter count at n = 200 is far over the cap, but p is the fault
+    code, out, err = run_cli(capsys, "words", "--p", "65", "--n", "200")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "fibpoly: alphabet bound p=65 exceeds the limit 64\n"
+    # a negative length is still reported first, before p
+    assert run_cli(capsys, "words", "--p", "0", "--n", "-1") == (
+        EXIT_INVALID, "", "fibpoly: word length must be >= 0, got -1\n"
+    )
+
+
+def test_words_json_writes_nothing_before_an_error(capsys):
+    assert run_cli(capsys, "words", "--p", "65", "--n", "3", "--format", "json") == (
+        EXIT_INVALID, "", "fibpoly: alphabet bound p=65 exceeds the limit 64\n"
+    )
+    code, out, _ = run_cli(capsys, "words", "--p", "2", "--n", "60", "--max-words", "100",
+                           "--format", "json")
+    assert (code, out) == (EXIT_RESOURCE, "")
+
+
+def listing_reference(p, n, fmt):
+    """The words output as one print per word, or one json.dumps of the whole payload."""
+    found = [str(w) for w in enumerate_words(p, n)]
+    if fmt == "plain":
+        return "".join(f"{w}\n" for w in found)
+    payload = {"command": "words", "p": p, "n": n, "count": len(found), "words": found}
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("p", range(1, 13))
+def test_words_listing_matches_reference(capsys, p, fmt):
+    for n in range(0, 13):
+        code, out, _ = run_cli(capsys, "words", "--p", str(p), "--n", str(n), "--format", fmt)
+        assert code == EXIT_OK
+        assert out == listing_reference(p, n, fmt), (p, n)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_words_listing_across_chunk_boundaries(capsys, fmt):
+    # one word short of a full 4096-word chunk, then two chunks and a short third
+    for n, expected in ((13, 4095), (14, 8189)):
+        assert count_words(12, n) == expected
+        code, out, _ = run_cli(capsys, "words", "--p", "12", "--n", str(n), "--format", fmt)
+        assert code == EXIT_OK
+        assert out == listing_reference(12, n, fmt)
+
+
+# sha256 of stdout, captured before the listing was streamed
+PINNED_LISTINGS = {
+    "words --p 3 --n 17 --format json":
+        "53ede1526e2bf3bb86b10e021e3fc7d7128f66e95247243850678a3af65e875a",
+    "words --p 3 --n 17 --format plain":
+        "e161082e30997026150c3b78d44521f0ba51ac45e73b71fddee1ea2d921419f9",
+    "words --p 12 --n 14 --format json":
+        "4bdb565b3f5e689bd0ccbbbc5b9214b26a0b84e263b2e0c0b06f27077d33bc17",
+    "words --p 12 --n 14 --format plain":
+        "f1c7142c5feb816c9208f3ec1d46ef4f960bc4932a3c00e6429efebb0267002a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_LISTINGS))
+def test_pinned_listing_output(capsys, case):
+    code, out, _ = run_cli(capsys, *case.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LISTINGS[case]
+
+
+def test_words_listing_memory_does_not_grow_with_the_word_count():
+    # 410744 words; holding them all took about 145 MB of peak RSS
+    assert count_words(3, 22) == 410744
+    src = str(Path(fibpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = (
+        "import resource, sys\n"
+        "from fibpoly import cli\n"
+        "code = cli.main(['words', '--p', '3', '--n', '22'])\n"
+        "sys.stdout.flush()\n"
+        "sys.stderr.write(f'{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, env=env, timeout=120, check=True)
+    code, maxrss = map(int, proc.stderr.split())
+    assert code == EXIT_OK
+    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere
+    peak_mb = maxrss / 2**20 if sys.platform == "darwin" else maxrss / 2**10
+    assert peak_mb < 64
 
 
 def test_stats_json(capsys):
@@ -527,7 +618,7 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     import fibpoly.cli as cli_module
 
     def broken(p, n_max, cap):
-        return [cli_module.CheckResult("forced", False, "injected failure")]
+        return [CheckResult("forced", False, "injected failure")]
 
     monkeypatch.setattr(cli_module, "run_verification", broken)
     code, out, _ = run_cli(capsys, "verify", "--p", "2", "--nmax", "2")
@@ -570,7 +661,7 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, first_line",
+    "argv, first_bytes",
     [
         # 19513 words of 18 bytes overflow the pipe, so the writer is still
         # running when the reader leaves after one line
@@ -578,9 +669,12 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         # a short answer stays buffered until the final flush, which finds
         # the reader already gone
         (["count", "--p", "3", "--n", "17"], None),
+        # the JSON listing is one 410 kB line; the reader leaves after its head
+        (["words", "--p", "3", "--n", "17", "--format", "json"],
+         b'{"command": "words", "count": 19513, "n": 17, "p": 3, "words": ["32132132132132132", '),
     ],
 )
-def test_closed_stdout_exits_4_without_traceback(argv, first_line):
+def test_closed_stdout_exits_4_without_traceback(argv, first_bytes):
     src = str(Path(fibpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -588,15 +682,15 @@ def test_closed_stdout_exits_4_without_traceback(argv, first_line):
     # after the pipe closed must not fail again at interpreter exit
     env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
-    if first_line is None:
+    if first_bytes is None:
         os.close(read_end)
     proc = subprocess.Popen([sys.executable, "-m", "fibpoly", *argv],
                             stdout=write_end, stderr=subprocess.PIPE, env=env)
     os.close(write_end)
     try:
-        if first_line is not None:
+        if first_bytes is not None:
             with os.fdopen(read_end, "rb") as out:
-                assert out.readline() == first_line
+                assert out.read(len(first_bytes)) == first_bytes
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == EXIT_RESOURCE
     finally:

@@ -10,7 +10,8 @@ from fibpoly import (
     fibonacci_number,
     is_valid_word,
 )
-from fibpoly.words import iter_word_digits, successor_digits
+from fibpoly import words as words_module
+from fibpoly.words import iter_word_digits, listing_chunks, successor_digits
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +191,32 @@ def test_enumerate_respects_cap():
         enumerate_words(2, 40, cap=1000)
     assert info.value.count == count_words(2, 40)
     assert info.value.cap == 1000
+
+
+def test_enumerate_validates_p_before_the_cap(monkeypatch):
+    # 65 words of length 2, and far more of length 200: p is rejected either way
+    for n in (2, 200):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            enumerate_words(65, n, cap=5)
+    # and before the count, which would take minutes at this length
+    counted = []
+    monkeypatch.setattr(words_module, "count_words", lambda p, n: counted.append((p, n)))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        enumerate_words(65, 10**9, cap=5)
+    assert counted == []
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 4096])
+@pytest.mark.parametrize("p, sep", [(1, "\n"), (2, "\n"), (3, '", "'), (10, "\n"), (12, '", "')])
+def test_listing_chunks_join_to_the_listing(monkeypatch, chunk, p, sep):
+    # 5 words at p = 2, n = 4 and 8 at p = 2, n = 5: chunk sizes that divide
+    # the word count and ones that leave a short last chunk
+    monkeypatch.setattr(words_module, "LISTING_CHUNK", chunk)
+    for n in range(0, 8):
+        listed = [str(w) for w in enumerate_words(p, n)]
+        chunks = list(listing_chunks(p, n, sep))
+        assert len(chunks) == -(-len(listed) // chunk)
+        assert "".join(chunks) == sep.join(listed)
 
 
 def test_count_words_rejects_negative_length():
