@@ -13,6 +13,11 @@ environment variable.
 ``words`` streams its listing in chunks of words, in memory that grows
 with the word length n but not with the word count; the cap and the
 alphabet bound are still checked before any output is written.
+
+``series --format json`` writes its terms as text straight from the
+computed series (``series.series_terms_json`` / ``sequence_terms_json``),
+the same bytes as ``json.dumps(..., sort_keys=True)`` of the payload;
+everything is computed and checked before the first write.
 """
 
 from __future__ import annotations
@@ -129,22 +134,19 @@ def cmd_series(args: argparse.Namespace) -> int:
     if args.kind in ("F", "G"):
         closed_form = series.closed_form_F if args.kind == "F" else series.closed_form_G
         expansion = series.expand_rational(closed_form(args.p), args.order)
-        output = expansion.to_json_terms() if as_json else expansion.to_text()
+        output = series.series_terms_json(expansion) if as_json else expansion.to_text()
     else:
         coeffs = _build_sequence(args.p, args.kind, args.order)
         var = "y" if args.kind == "D" else "x"
-        output = (series.sequence_json_terms(coeffs, var) if as_json
+        output = (series.sequence_terms_json(coeffs, var) if as_json
                   else series.sequence_text(coeffs, var))
     if as_json:
-        _emit_json(
-            {
-                "command": "series",
-                "p": args.p,
-                "kind": args.kind,
-                "order": args.order,
-                "terms": output,
-            }
-        )
+        # json.dumps(..., sort_keys=True) of the payload, written piece by piece
+        write = sys.stdout.write
+        write(f'{{"command": "series", "kind": "{args.kind}", "order": {args.order}, '
+              f'"p": {args.p}, "terms": [')
+        write(output)
+        write("]}\n")
     else:
         print(output)
     return EXIT_OK

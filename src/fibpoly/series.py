@@ -23,7 +23,8 @@ integer addition, and integer order of keys is lexicographic order on
 (y, z, q).  z and q each get ``FIELD_BITS`` = 20 bits (exponents up to
 ``MAX_FIELD_EXPONENT`` = 2^20 - 1) plus one guard bit above the field;
 y is the top field and is unbounded.  ``Monomial`` objects exist only at
-the API boundary: the ``terms`` view, ``to_text`` and ``to_json_terms``.
+the API boundary, in the ``terms`` view; ``to_text`` and the JSON writer
+``series_terms_json`` read the packed layers themselves.
 
 Overflow guard.  Packing a z or q exponent above the field, or any
 negative exponent, raises ``ValueError``.  A sum of two stored keys can
@@ -44,19 +45,26 @@ denominator are built as ``list[int]`` coefficient lists, which the
 ``gf_*`` functions wrap as ``RationalGF``.  The sequences never touch
 the series kernel: they read the linear recurrence off the denominator
 list and check the result by convolving it with the denominator again.
-``sequence_text`` and ``sequence_json_terms`` write such a list in the
-format of ``to_text`` and ``to_json_terms``.  Series text and sequence
+``sequence_text`` and ``sequence_terms_json`` write such a list in the
+format of ``to_text`` and ``series_terms_json``.  Series text and sequence
 text share one term joiner, ``_joined_terms``, which writes the signs;
 ``to_text`` hands it a multi-term x-layer as one parenthesized term.
+
+JSON.  ``series_terms_json`` and ``sequence_terms_json`` write the items of
+a JSON ``"terms"`` array as text, the same bytes as
+``json.dumps(..., sort_keys=True)`` of one ``{"coefficient", "exponents"}``
+dict per term, without building those dicts.  ``to_json_terms`` decodes
+that text, so the term order has one definition.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import json
+from collections import Counter, defaultdict
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import reduce
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from operator import or_
 from typing import Callable, NamedTuple
 
@@ -244,7 +252,7 @@ class TruncatedSeries:
 
     def to_text(self) -> str:
         """Canonical text form, terms grouped by ascending x-degree."""
-        ys, zs, qs = _Powers("y"), _Powers("z"), _Powers("q")
+        ys, zs, qs = _factors("y"), _factors("z"), _factors("q")
         pairs: list[tuple[int, str]] = []
         for n, layer in enumerate(self._layers):
             if not layer:
@@ -260,24 +268,35 @@ class TruncatedSeries:
         return _joined_terms(pairs) or "0"
 
     def to_json_terms(self) -> list[dict]:
-        """JSON-ready term list in ascending graded lexicographic order."""
-        rows = [(deg + x, x, key, y, z, q, c)
-                for x, layer in enumerate(self._layers)
-                for deg, key, y, z, q, c in _grlex_rows(layer)]
-        rows.sort()
-        out = []
-        for _, x, _, y, z, q, c in rows:
-            exponents = {}
-            if x:
-                exponents["x"] = x
-            if y:
-                exponents["y"] = y
-            if z:
-                exponents["z"] = z
-            if q:
-                exponents["q"] = q
-            out.append({"exponents": exponents, "coefficient": c})
-        return out
+        """JSON-ready term list in ascending graded lexicographic order.
+
+        Decoded from ``series_terms_json``, so both give the same terms in
+        the same order.
+        """
+        return json.loads(f"[{series_terms_json(self)}]")
+
+
+def series_terms_json(series: TruncatedSeries) -> str:
+    """The items of the JSON ``"terms"`` array of a series, without the brackets.
+
+    The text is what ``json.dumps(..., sort_keys=True)`` writes for the
+    list of ``{"coefficient": c, "exponents": {...}}`` objects, zero
+    exponents left out, in ascending (x + y + z + q, x, packed key) order.
+    Each layer's keys are sorted as integers and each term goes into a
+    bucket by total degree; x ascends across layers, so a bucket is
+    already in (x, key) order.
+    """
+    ys, zs, qs = _json_fields("y"), _json_fields("z"), _json_fields("q")
+    buckets: defaultdict[int, list[str]] = defaultdict(list)
+    for x, layer in enumerate(series._layers):
+        xs = f', "x": {x}' if x else ""
+        for key in sorted(layer):
+            y, z, q = _unpack(key)
+            exponents = (qs[q] + xs + ys[y] + zs[z])[2:]
+            buckets[x + y + z + q].append(
+                f'{{"coefficient": {layer[key]}, "exponents": {{{exponents}}}}}'
+            )
+    return ", ".join(chain.from_iterable(buckets[d] for d in sorted(buckets)))
 
 
 def _grlex_rows(layer: Layer) -> list[tuple[int, int, int, int, int, int]]:
@@ -294,17 +313,26 @@ def _grlex_rows(layer: Layer) -> list[tuple[int, int, int, int, int, int]]:
     return rows
 
 
-class _Powers(dict):
-    """Memo of "*var^e" factor texts: "" for e = 0, "*var" for e = 1."""
+class _Memo(dict):
+    """Texts by exponent, each made once by ``make(e)``."""
 
-    def __init__(self, var: str):
+    def __init__(self, make: Callable[[int], str]):
         super().__init__()
-        self.var = var
+        self.make = make
 
     def __missing__(self, e: int) -> str:
-        text = f"*{_power(self.var, e)}" if e else ""
-        self[e] = text
+        text = self[e] = self.make(e)
         return text
+
+
+def _factors(var: str) -> _Memo:
+    """Memo of the "*var^e" factor texts: "" for e = 0, "*var" for e = 1."""
+    return _Memo(lambda e: f"*{_power(var, e)}" if e else "")
+
+
+def _json_fields(var: str) -> _Memo:
+    """Memo of the ', "var": e' exponent texts: "" for e = 0."""
+    return _Memo(lambda e: f', "{var}": {e}' if e else "")
 
 
 def _power(var: str, e: int) -> str:
@@ -638,7 +666,10 @@ def sequence_text(coeffs: list[int], var: str) -> str:
     return _joined_terms(terms) or "0"
 
 
-def sequence_json_terms(coeffs: list[int], var: str) -> list[dict]:
-    """JSON-ready term list of the same series, as ``to_json_terms`` writes it."""
-    return [{"exponents": {var: n} if n else {}, "coefficient": c}
-            for n, c in enumerate(coeffs) if c]
+def sequence_terms_json(coeffs: list[int], var: str) -> str:
+    """The JSON ``"terms"`` items of the same series, as ``series_terms_json`` writes them."""
+    terms = [f'{{"coefficient": {c}, "exponents": {{"{var}": {n}}}}}'
+             for n, c in enumerate(coeffs) if c]
+    if coeffs and coeffs[0]:
+        terms[0] = f'{{"coefficient": {coeffs[0]}, "exponents": {{}}}}'
+    return ", ".join(terms)

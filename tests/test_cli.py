@@ -300,6 +300,17 @@ def test_series_json(capsys):
     assert {"exponents": {"x": 2, "q": 2}, "coefficient": 1} in payload["terms"]
 
 
+def test_series_json_writes_nothing_before_an_error(capsys):
+    assert run_cli(capsys, "series", "--p", "65", "--kind", "F", "--order", "3",
+                   "--format", "json") == (
+        EXIT_INVALID, "", "fibpoly: alphabet bound p=65 exceeds the limit 64\n"
+    )
+    assert run_cli(capsys, "series", "--p", "3", "--kind", "A", "--order", "-1",
+                   "--format", "json") == (
+        EXIT_INVALID, "", "fibpoly: x_bound must be >= 0, got -1\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # tables
 

@@ -7,11 +7,12 @@ The univariate sequences are compared against the series kernel, the parts
 loop and the window loop they replaced.
 """
 
+import json
 from collections import deque
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibpoly.series import (
@@ -28,8 +29,10 @@ from fibpoly.series import (
     gf_total_inner,
     gf_total_sper,
     parts_set,
+    sequence_terms_json,
     series_F_dp,
     series_G_dp,
+    series_terms_json,
     total_area_sequence,
     total_inner_sequence,
     total_sper_sequence,
@@ -121,6 +124,48 @@ def test_json_terms_roundtrip(terms, x_bound):
     decoded = {Monomial(**entry["exponents"]): entry["coefficient"] for entry in data}
     assert len(decoded) == len(data)
     assert TruncatedSeries(x_bound, decoded) == series
+
+
+def json_term(monomial, coefficient):
+    """One term as the JSON writers emit it: zero exponents left out."""
+    return {"coefficient": coefficient,
+            "exponents": {var: e for var, e in monomial._asdict().items() if e}}
+
+
+def field(top):
+    # zeros and small exponents often, so that x-only and constant terms and
+    # ties in total degree across x-layers come up
+    return st.one_of(st.just(0), st.integers(0, 3), st.integers(0, top))
+
+
+json_monomials = st.builds(
+    Monomial,
+    x=st.integers(0, 5),
+    y=field(10**15),
+    z=field(MAX_FIELD_EXPONENT),
+    q=field(MAX_FIELD_EXPONENT),
+)
+
+
+@example(terms={}, x_bound=0)
+@example(terms={UNIT: -7, M(x=2): 1, M(x=1, y=1): 2, M(y=2): 3}, x_bound=2)
+@given(terms=st.dictionaries(json_monomials, st.integers(-10**30, 10**30), max_size=30),
+       x_bound=st.integers(0, 5))
+def test_series_terms_json_equals_json_dumps(terms, x_bound):
+    series = TruncatedSeries(x_bound, terms)
+    ordered = sorted(series.terms.items(), key=lambda item: (sum(item[0]), *item[0]))
+    expected = json.dumps([json_term(m, c) for m, c in ordered], sort_keys=True)
+    assert f"[{series_terms_json(series)}]" == expected
+
+
+@example(coeffs=[], var="x")
+@example(coeffs=[0, 0, -1], var="y")
+@given(coeffs=st.lists(st.one_of(st.just(0), st.integers(-10**40, 10**40)), max_size=40),
+       var=st.sampled_from(["x", "y"]))
+def test_sequence_terms_json_equals_json_dumps(coeffs, var):
+    terms = [json_term(Monomial(**{var: n}), c) for n, c in enumerate(coeffs) if c]
+    expected = json.dumps(terms, sort_keys=True)
+    assert f"[{sequence_terms_json(coeffs, var)}]" == expected
 
 
 @given(a=term_dicts, b=term_dicts, x_bound=st.integers(0, 4))
