@@ -23,7 +23,6 @@ everything is computed and checked before the first write.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -361,21 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    """Lift the int/str digit limit (Python >= 3.10.7) and restore it on exit.
-
-    Exact answers such as word counts run past the default 4300 digits;
-    the limit stays in force while argv is parsed.
-    """
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` reuses, built on its first call rather than at import."""
@@ -387,7 +371,8 @@ def main(argv: list[str] | None = None) -> int:
     # looked up at call time, so a replaced ``cmd_*`` handler takes effect
     handler = globals()[f"cmd_{args.command}"]
     try:
-        with _unlimited_int_digits():
+        # argv above was parsed under the int/str digit limit; answers are not
+        with series._unlimited_int_digits():
             code = handler(args)
         # a reader that went away after the last write shows only on flush
         sys.stdout.flush()

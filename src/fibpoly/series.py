@@ -59,7 +59,9 @@ that text, so the term order has one definition.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from collections import Counter, defaultdict
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
@@ -271,9 +273,10 @@ class TruncatedSeries:
         """JSON-ready term list in ascending graded lexicographic order.
 
         Decoded from ``series_terms_json``, so both give the same terms in
-        the same order.
+        the same order; coefficients of any length pass.
         """
-        return json.loads(f"[{series_terms_json(self)}]")
+        with _unlimited_int_digits():
+            return json.loads(f"[{series_terms_json(self)}]")
 
 
 def series_terms_json(series: TruncatedSeries) -> str:
@@ -285,6 +288,8 @@ def series_terms_json(series: TruncatedSeries) -> str:
     Each layer's keys are sorted as integers and each term goes into a
     bucket by total degree; x ascends across layers, so a bucket is
     already in (x, key) order.
+    A coefficient past the int/str digit limit (``sys.set_int_max_str_digits``)
+    raises ``ValueError``, as in ``json.dumps``; the CLI lifts the limit.
     """
     ys, zs, qs = _json_fields("y"), _json_fields("z"), _json_fields("q")
     buckets: defaultdict[int, list[str]] = defaultdict(list)
@@ -297,6 +302,23 @@ def series_terms_json(series: TruncatedSeries) -> str:
                 f'{{"coefficient": {layer[key]}, "exponents": {{{exponents}}}}}'
             )
     return ", ".join(chain.from_iterable(buckets[d] for d in sorted(buckets)))
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the int/str digit limit (Python >= 3.10.7) and restore it on exit.
+
+    Exact answers such as word counts and large series coefficients run
+    past the default 4300 digits.  ``cli.main`` runs each command inside
+    it; it is private so that perfbench's tracer, which wraps the public
+    functions, leaves it alone.
+    """
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _grlex_rows(layer: Layer) -> list[tuple[int, int, int, int, int, int]]:

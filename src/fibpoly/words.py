@@ -24,8 +24,6 @@ DEFAULT_WORD_CAP = 10_000_000
 LISTING_CHUNK = 4096
 # byte values 0-9 to the ASCII digits, other bytes unchanged
 _ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-# digit d to ",d", for the comma form of a word's text
-_COMMA_DIGITS = {d: f",{d}" for d in range(1, MAX_ALPHABET + 1)}
 
 
 class EnumerationCapError(RuntimeError):
@@ -261,11 +259,6 @@ def listing_chunks(p: int, n: int, sep: str) -> Iterator[str]:
     The chunks add up to ``sep.join(str(w) for w in enumerate_words(p, n))``
     while only one chunk of words is held at a time.  ``sep`` is ASCII
     with no character below "\\n".  No cap is checked here.
-
-    For p > 9 the words are joined by "\\0", which no digit and no ``sep``
-    holds (the bytes of '", "' are digits 32, 34 and 44), each digit d
-    becomes ",d", and each "\\0," becomes ``sep``; the text then starts
-    with one comma too many.
     """
     digits = iter_word_digits(p, n)
     joiner = sep.encode("ascii")
@@ -274,7 +267,6 @@ def listing_chunks(p: int, n: int, sep: str) -> Iterator[str]:
         if p <= 9:
             text = joiner.join(map(bytes, chunk)).translate(_ASCII_DIGITS).decode("ascii")
         else:
-            text = b"\0".join(map(bytes, chunk)).decode("latin-1").translate(_COMMA_DIGITS)
-            text = text.replace("\0,", sep)[1:]
+            text = sep.join([",".join(map(str, word)) for word in chunk])
         yield lead + text
         lead = sep

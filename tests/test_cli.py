@@ -300,17 +300,6 @@ def test_series_json(capsys):
     assert {"exponents": {"x": 2, "q": 2}, "coefficient": 1} in payload["terms"]
 
 
-def test_series_json_writes_nothing_before_an_error(capsys):
-    assert run_cli(capsys, "series", "--p", "65", "--kind", "F", "--order", "3",
-                   "--format", "json") == (
-        EXIT_INVALID, "", "fibpoly: alphabet bound p=65 exceeds the limit 64\n"
-    )
-    assert run_cli(capsys, "series", "--p", "3", "--kind", "A", "--order", "-1",
-                   "--format", "json") == (
-        EXIT_INVALID, "", "fibpoly: x_bound must be >= 0, got -1\n"
-    )
-
-
 # ---------------------------------------------------------------------------
 # tables
 
@@ -1382,6 +1371,9 @@ def test_pinned_joint_series_output(capsys, case):
         ("series --p 2 --kind D --order -1", "max_area must be >= 0, got -1"),
         ("series --p 65 --kind D --order -1", "max_area must be >= 0, got -1"),
         ("series --p 65 --kind D --order 5", "alphabet bound p=65 exceeds the limit 64"),
+        ("series --p 65 --kind F --order 3 --format json",
+         "alphabet bound p=65 exceeds the limit 64"),
+        ("series --p 3 --kind A --order -1 --format json", "x_bound must be >= 0, got -1"),
         ("count --p 2 --n -1", "word length must be >= 0, got -1"),
         ("count --p 0 --n 3", "p must be >= 1, got 0"),
     ],

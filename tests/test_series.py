@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -390,6 +391,15 @@ def test_json_terms_roundtrip():
     assert TruncatedSeries(4, decoded) == series
     degrees = [sum(entry["exponents"].values()) for entry in data]
     assert degrees == sorted(degrees)
+
+
+def test_json_terms_keep_coefficients_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    huge = -(10 ** (limit + 700)) + 1
+    data = TruncatedSeries(1, {UNIT: huge, M(x=1): 10**limit}).to_json_terms()
+    assert data == [{"coefficient": huge, "exponents": {}},
+                    {"coefficient": 10**limit, "exponents": {"x": 1}}]
+    assert sys.get_int_max_str_digits() == limit
 
 
 # ---------------------------------------------------------------------------

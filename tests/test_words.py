@@ -219,16 +219,6 @@ def test_listing_chunks_join_to_the_listing(monkeypatch, chunk, p, sep):
         assert "".join(chunks) == sep.join(listed)
 
 
-@pytest.mark.parametrize("sep", ["\n", '", "'])
-@pytest.mark.parametrize("p", [10, 32, 34, 44, 64])
-def test_comma_listing_keeps_digits_that_share_a_byte_with_sep(monkeypatch, p, sep):
-    # the bytes of '", "' are 34, 44 and 32, all of them digits once p >= 44
-    monkeypatch.setattr(words_module, "LISTING_CHUNK", 7)
-    for n in range(0, 11):
-        expected = sep.join(str(w) for w in enumerate_words(p, n))
-        assert "".join(listing_chunks(p, n, sep)) == expected, n
-
-
 def test_count_words_rejects_negative_length():
     with pytest.raises(ValueError):
         count_words(3, -1)
