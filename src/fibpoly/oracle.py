@@ -20,7 +20,7 @@ from .words import (
     DEFAULT_WORD_CAP,
     EnumerationCapError,
     FibWord,
-    count_words,
+    checked_total_word_count,
     iter_word_digits,
     successor_digits,
     validate_alphabet,
@@ -64,10 +64,7 @@ def brute_force_generating_series(
     F records x^len y^area z^sper and G records x^len q^inn for every
     word, in one scan.  The empty word contributes 1 to each.
     """
-    validate_alphabet(p)
-    total = sum(count_words(p, n) for n in range(x_bound + 1))
-    if total > cap:
-        raise EnumerationCapError(total, cap)
+    checked_total_word_count(p, x_bound, cap)
 
     f_terms: Counter = Counter({Monomial(): 1})
     g_terms: Counter = Counter({Monomial(): 1})

@@ -43,8 +43,22 @@ area (``area_count_sequence``) have rational generating functions in one
 variable (``gf_total_*`` in x, ``gf_area_counts`` in y).  Numerator and
 denominator are built as ``list[int]`` coefficient lists, which the
 ``gf_*`` functions wrap as ``RationalGF``.  The sequences never touch
-the series kernel: they read the linear recurrence off the denominator
-list and check the result by convolving it with the denominator again.
+the series kernel: they read linear recurrences off denominator lists
+and check each result by convolving it with that denominator again.
+The totals are not divided by their published denominators, which are
+dense at large p, but stage by stage by sparse factors, using
+(1 - x)(1 - x - ... - x^p) = 1 - 2x + x^(p+1) = core:
+
+    A:     num / (1 - x - ... - x^p)^2  = num (1 - x)^2 / core / core
+    S, I:  num / ((1 - x) core^2)       = num / (1 - x) / core / core
+
+Each stage is one division by a factor of one or two taps, checked by
+re-multiplying by that factor, and the factors are tied to the published
+denominator by an exact identity on the short lists, checked on every
+call (``_divide_factored``).  Together these prove coefficients times
+denominator equals numerator through the order, as for ``_divide``.
+The counts by area (D) keep one division by their own denominator,
+which is already sparse.
 ``sequence_text`` and ``sequence_terms_json`` write such a list in the
 format of ``to_text`` and ``series_terms_json``.  Series text and sequence
 text share one term joiner, ``_joined_terms``, which writes the signs;
@@ -66,8 +80,8 @@ from collections import Counter, defaultdict
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, zip_longest
-from operator import or_
+from itertools import accumulate, chain, repeat, zip_longest
+from operator import add, mul, or_, sub
 from typing import Callable, NamedTuple
 
 from .words import parts_set, validate_alphabet
@@ -531,11 +545,20 @@ def _poly(*terms: tuple[int, int]) -> list[int]:
     return coeffs
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Coefficient list of the product of two polynomials."""
-    taps = [(k, c) for k, c in enumerate(a) if c]
-    padded = b + [0] * (len(a) - 1)
-    return [_convolution_at(padded, taps, n) for n in range(len(padded))]
+def _convolve(a: list[int], b: list[int], size: int | None = None) -> list[int]:
+    """Coefficients 0 .. size - 1 of the product of two polynomials, all of them by default.
+
+    One shifted copy of ``b``, scaled by a(k), is added per nonzero a(k),
+    so pass the sparser list first; a tap of +-1 adds or subtracts ``b``
+    itself.
+    """
+    product = [0] * (len(a) + len(b) - 1 if size is None else size)
+    for k, c in enumerate(a):
+        if c:
+            # the slice stops at the end of product, and map at the shorter input
+            term = b if c in (1, -1) else map(mul, repeat(abs(c)), b)
+            product[k : k + len(b)] = map(sub if c < 0 else add, product[k : k + len(b)], term)
+    return product
 
 
 def _univariate_gf(fraction: tuple[list[int], list[int]], var: str) -> RationalGF:
@@ -560,10 +583,18 @@ def gf_total_area(p: int) -> RationalGF:
     return _univariate_gf(_total_area_fraction(p), "x")
 
 
+_ONE_MINUS_X = [1, -1]
+
+
+def _core(p: int) -> list[int]:
+    """core = 1 - 2x + x^(p+1) = (1 - x)(1 - x - ... - x^p), a factor of each totals denominator."""
+    return _poly((0, 1), (1, -2), (p + 1, 1))
+
+
 def _totals_denominator(p: int) -> list[int]:
     """(1 - x)(1 - 2x + x^(p+1))^2, the denominator of the semi-perimeter and inner totals."""
-    core = _poly((0, 1), (1, -2), (p + 1, 1))
-    return _convolve([1, -1], _convolve(core, core))
+    core = _core(p)
+    return _convolve(_ONE_MINUS_X, _convolve(core, core))
 
 
 def _total_sper_fraction(p: int) -> tuple[list[int], list[int]]:
@@ -625,22 +656,20 @@ def gf_area_counts(p: int) -> RationalGF:
 # univariate sequences as integer recurrences
 
 
-def _convolution_at(coeffs: list[int], taps: list[tuple[int, int]], n: int) -> int:
-    """Sum of c * coeffs[n - k] over the taps (k, c) with k <= n; taps ascend in k."""
-    value = 0
-    for k, c in taps:
-        if k > n:
-            break
-        value += c * coeffs[n - k]
-    return value
-
-
 def _check_remultiplied(coeffs: list[int], num: list[int], den: list[int]) -> None:
-    """Raise ArithmeticError unless coeffs * den equals num through len(coeffs) terms."""
-    taps = [(k, c) for k, c in enumerate(den) if c]
-    for n in range(len(coeffs)):
-        if _convolution_at(coeffs, taps, n) != (num[n] if n < len(num) else 0):
-            raise ArithmeticError("expansion failed the re-multiplication check")
+    """Raise ArithmeticError unless coeffs * den equals num through len(coeffs) terms.
+
+    The product is built as one shifted, scaled copy of ``coeffs`` per
+    nonzero coefficient of ``den`` (``_convolve``), so its cost is the
+    number of taps times len(coeffs) big-integer additions, done by
+    ``map`` rather than by a Python loop per coefficient.  For the totals
+    ``den`` is one sparse factor, 1 - x or core; ``_divide_factored``
+    explains why checking every factor proves the identity for the whole
+    denominator.
+    """
+    size = len(coeffs)
+    if _convolve(den, coeffs, size) != num[:size] + [0] * (size - len(num)):
+        raise ArithmeticError("expansion failed the re-multiplication check")
 
 
 def _divide(num: list[int], den: list[int], order: int) -> list[int]:
@@ -648,16 +677,48 @@ def _divide(num: list[int], den: list[int], order: int) -> list[int]:
 
     Reads the linear recurrence off the denominator: the n-th coefficient
     is num[n] minus den[k] times the (n-k)-th, summed over the nonzero
-    den[k], k >= 1.  The result is verified by re-multiplication.
+    den[k], k >= 1, so the cost is one big-integer step per tap and
+    coefficient.  The totals call it once per sparse factor of their
+    denominators (``_divide_factored``); dividing by 1 - x is a running
+    sum.  The result is verified by re-multiplication.
     """
     if order < 0:
         raise ValueError(f"x_bound must be >= 0, got {order}")
-    taps = [(k, c) for k, c in enumerate(den) if k and c]
-    coeffs: list[int] = []
-    for n in range(order + 1):
-        coeffs.append((num[n] if n < len(num) else 0) - _convolution_at(coeffs, taps, n))
+    coeffs = num[: order + 1] + [0] * (order + 1 - len(num))
+    if den == _ONE_MINUS_X:
+        coeffs = list(accumulate(coeffs))
+    else:
+        taps = [(k, -c) for k, c in enumerate(den) if k and c]
+        for n in range(1, order + 1):
+            value = coeffs[n]
+            for k, c in taps:
+                if k > n:
+                    break
+                value += c * coeffs[n - k]
+            coeffs[n] = value
     _check_remultiplied(coeffs, num, den)
     return coeffs
+
+
+def _divide_factored(
+    fraction: tuple[list[int], list[int]], factors: list[list[int]], order: int
+) -> list[int]:
+    """Coefficients 0 .. order of num / den, divided by the factors of den one at a time.
+
+    The factors must multiply out to den, which is checked exactly on the
+    short lists first; each stage, c_1 = num / f_1, c_i = c_(i-1) / f_i,
+    is checked by re-multiplying by its own factor.  The checks chain:
+    through the order, c_1 f_1 = num and each later c_i f_i = c_(i-1), so
+    the result times the product of the factors, which is den, equals num:
+    the same identity that ``_divide`` checks on the multiplied-out
+    denominator.
+    """
+    num, den = fraction
+    if reduce(_convolve, factors) != den:
+        raise ArithmeticError("the factors do not multiply out to the denominator")
+    for factor in factors:
+        num = _divide(num, factor, order)
+    return num
 
 
 def area_count_sequence(p: int, max_area: int) -> list[int]:
@@ -669,17 +730,27 @@ def area_count_sequence(p: int, max_area: int) -> list[int]:
 
 def total_area_sequence(p: int, n_max: int) -> list[int]:
     """Total area over all words of length n, for n = 0 .. n_max."""
-    return _divide(*_total_area_fraction(p), n_max)
+    num, den = _total_area_fraction(p)
+    core = _core(p)
+    # num / den = num (1 - x)^2 / core^2, with den (1 - x)^2 = core^2 checked;
+    # (1 - x)^2 has constant term 1, so it is invertible as a power series
+    # and cancels from the identity the stage checks prove
+    lift = [1, -2, 1]
+    return _divide_factored((_convolve(lift, num), _convolve(lift, den)), [core, core], n_max)
 
 
 def total_sper_sequence(p: int, n_max: int) -> list[int]:
     """Total semi-perimeter over all words of length n, for n = 0 .. n_max."""
-    return _divide(*_total_sper_fraction(p), n_max)
+    fraction = _total_sper_fraction(p)
+    core = _core(p)
+    return _divide_factored(fraction, [_ONE_MINUS_X, core, core], n_max)
 
 
 def total_inner_sequence(p: int, n_max: int) -> list[int]:
     """Total inner points over all words of length n, for n = 0 .. n_max."""
-    return _divide(*_total_inner_fraction(p), n_max)
+    fraction = _total_inner_fraction(p)
+    core = _core(p)
+    return _divide_factored(fraction, [_ONE_MINUS_X, core, core], n_max)
 
 
 def sequence_text(coeffs: list[int], var: str) -> str:

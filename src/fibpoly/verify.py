@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import bijections, geometry, oracle, series, words
 from .series import Monomial
-from .words import DEFAULT_WORD_CAP, EnumerationCapError, FibWord
+from .words import DEFAULT_WORD_CAP, FibWord
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,11 @@ def run_verification(p: int, n_max: int, cap: int = DEFAULT_WORD_CAP) -> list[Ch
     both bijection roundtrips, and the area-count recurrence.
 
     Raises EnumerationCapError before any other work if the words of
-    lengths 0 .. n_max number more than ``cap``, or if the pruned area
-    search, which runs first, would visit more than ``cap`` words.
+    lengths 0 .. n_max number more than ``cap`` (counted only up to the
+    first length that passes it), or if the pruned area search, which
+    runs first, would visit more than ``cap`` words.
     """
-    words.validate_alphabet(p)
-    total_words = sum(words.count_words(p, n) for n in range(n_max + 1))
-    if total_words > cap:
-        raise EnumerationCapError(total_words, cap)
+    total_words = words.checked_total_word_count(p, n_max, cap)
     # the pruned area search counts its own words against the cap, so it
     # runs before any other work
     max_area = min(30, p * n_max)

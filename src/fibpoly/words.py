@@ -29,8 +29,9 @@ _ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 class EnumerationCapError(RuntimeError):
     """Raised when an enumeration would produce more words than allowed."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"enumeration would visit {count} words, cap is {cap}")
+    def __init__(self, count: int, cap: int, at_least: bool = False):
+        bound = "at least " if at_least else ""
+        super().__init__(f"enumeration would visit {bound}{count} words, cap is {cap}")
         self.count = count
         self.cap = cap
 
@@ -241,6 +242,23 @@ def checked_word_count(p: int, n: int, cap: int) -> int:
     if expected > cap:
         raise EnumerationCapError(expected, cap)
     return expected
+
+
+def checked_total_word_count(p: int, n_max: int, cap: int) -> int:
+    """Number of words of lengths 0 .. n_max, checked against ``cap`` as it is summed.
+
+    The sum stops at the first length that takes it past ``cap`` and
+    raises EnumerationCapError; the error names "at least" that running
+    total when longer lengths were left out, and the exact total when the
+    last length was the one that passed the cap.
+    """
+    validate_alphabet(p)
+    total = 0
+    for n in range(n_max + 1):
+        total += count_words(p, n)
+        if total > cap:
+            raise EnumerationCapError(total, cap, at_least=n < n_max)
+    return total
 
 
 def enumerate_words(p: int, n: int, cap: int = DEFAULT_WORD_CAP) -> list[FibWord]:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -579,6 +580,19 @@ def test_verify_area_search_cap_stops_before_the_word_pass(capsys, monkeypatch):
         EXIT_RESOURCE, "", "fibpoly: enumeration would visit 34 words, cap is 33\n"
     )
     assert calls == []
+
+
+@pytest.mark.parametrize("p, nmax, counted", [(1, 1_000_000, 1001), (3, 100_000, 1104)])
+def test_verify_cap_stops_the_count_at_the_first_length_past_it(capsys, p, nmax, counted):
+    # the word total passes 1000 after a few lengths; the lengths up to nmax
+    # are not summed, so the refusal is quick and names a lower bound
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "--p", str(p), "--nmax", str(nmax), "--max-words", "1000"
+    )
+    assert time.perf_counter() - start < 1.0
+    message = f"fibpoly: enumeration would visit at least {counted} words, cap is 1000\n"
+    assert (code, out, err) == (EXIT_RESOURCE, "", message)
 
 
 def test_verify_validates_p_before_the_cap(capsys):

@@ -4,7 +4,8 @@ The reference implementations below keep series as plain
 ``Monomial -> coefficient`` dicts, the representation the kernel replaced,
 so every property compares the packed layers against the naive arithmetic.
 The univariate sequences are compared against the series kernel, the parts
-loop and the window loop they replaced.
+loop and the window loop they replaced, and the counts by area also
+against the oracle's word search.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fibpoly.oracle import brute_force_area_distribution
 from fibpoly.series import (
     MAX_FIELD_EXPONENT,
     Monomial,
@@ -268,6 +270,16 @@ def test_sequences_equal_series_expansion(p, order):
 @given(p=st.integers(1, 64), max_area=st.integers(0, 400))
 def test_area_counts_equal_parts_loop(p, max_area):
     assert area_count_sequence(p, max_area) == parts_loop_area_counts(p, max_area)
+
+
+# the search visits every word of area <= max_area: 2.7 * 10^6 words at
+# p = 3 and area 60, but at most 1.4 * 10^5 for p >= 4
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 64).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(0, 30 if p <= 3 else 60))))
+def test_area_counts_equal_search_oracle(case):
+    p, max_area = case
+    assert area_count_sequence(p, max_area) == brute_force_area_distribution(p, max_area)
 
 
 @given(st.integers(1, 64).flatmap(lambda p: st.tuples(st.just(p), st.integers(-p + 2, 400))))

@@ -29,7 +29,17 @@ from fibpoly import (
     total_inner_sequence,
     total_sper_sequence,
 )
-from fibpoly.series import _check_remultiplied, _divide, _total_area_fraction
+from fibpoly import series as series_module
+from fibpoly.series import (
+    _check_remultiplied,
+    _convolve,
+    _core,
+    _divide,
+    _divide_factored,
+    _total_area_fraction,
+    _total_inner_fraction,
+    _total_sper_fraction,
+)
 
 M = Monomial
 UNIT = Monomial()
@@ -339,6 +349,48 @@ def test_remultiplication_check_catches_a_wrong_coefficient():
     # a denominator whose constant term is not 1 breaks the recurrence itself
     with pytest.raises(ArithmeticError, match="re-multiplication check"):
         _divide([1], [2, -1], 3)
+
+
+def test_totals_denominators_factor_into_sparse_pieces():
+    for p in range(1, 65):
+        # core = 1 - 2x + x^(p+1) = (1 - x)(1 - x - ... - x^p)
+        core = _core(p)
+        assert core == _convolve([1, -1], [1] + [-1] * p)
+        assert _convolve([1, -2, 1], _total_area_fraction(p)[1]) == _convolve(core, core)
+        for fraction in (_total_sper_fraction(p), _total_inner_fraction(p)):
+            assert _convolve([1, -1], _convolve(core, core)) == fraction[1]
+
+
+@pytest.mark.parametrize("sequence, stages", [
+    (total_area_sequence, 2), (total_sper_sequence, 3), (total_inner_sequence, 3)
+])
+def test_every_division_stage_is_rechecked(monkeypatch, sequence, stages):
+    # a wrong coefficient in any stage's quotient fails that stage's check
+    real = series_module._check_remultiplied
+    for stage in range(stages):
+        for n in (0, 7, 20):
+            calls = []
+
+            def perturbed(coeffs, num, den):
+                if len(calls) == stage:
+                    coeffs = list(coeffs)
+                    coeffs[n] += 1
+                calls.append(den)
+                real(coeffs, num, den)
+
+            monkeypatch.setattr(series_module, "_check_remultiplied", perturbed)
+            with pytest.raises(ArithmeticError, match="re-multiplication check"):
+                sequence(4, 20)
+            assert len(calls) == stage + 1
+
+
+def test_factors_must_multiply_out_to_the_denominator():
+    core = _core(3)
+    with pytest.raises(ArithmeticError, match="do not multiply out"):
+        _divide_factored(_total_sper_fraction(3), [[1, -1], core], 10)
+    # the area denominator is core^2 / (1 - x)^2, not core^2
+    with pytest.raises(ArithmeticError, match="do not multiply out"):
+        _divide_factored(_total_area_fraction(3), [core, core], 10)
 
 
 def test_gf_area_counts_shape():
