@@ -26,7 +26,6 @@ from .geometry import (
 )
 from .oracle import (
     brute_force_area_distribution,
-    brute_force_generating_series,
     lattice_stats,
 )
 from .series import (
@@ -76,7 +75,6 @@ __all__ = [
     "area_count_sequence",
     "binary_to_word",
     "brute_force_area_distribution",
-    "brute_force_generating_series",
     "closed_form_F",
     "closed_form_G",
     "composition_to_word",

@@ -3,25 +3,20 @@
 Everything in this module is deliberately naive.  Statistics are counted
 directly on an explicit cell set by neighbour lookup: a cell side is a
 boundary edge when the cell across it is absent, and a lattice point is
-inner when its four surrounding cells are all present.  Series are
-accumulated word by word, and area counts come from a pruned search over
-words.  None of it reuses the formula-based implementations in
-``geometry`` or ``series`` (digit sums, ascents, minima of neighbouring
-digits): independence is the point, so the duplication is intentional.
+inner when its four surrounding cells are all present.  Area counts come
+from a pruned search over words.  None of it reuses the formula-based
+implementations in ``geometry`` or ``series`` (digit sums, ascents,
+minima of neighbouring digits), and nothing here imports ``series``:
+independence is the point, so the duplication is intentional.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .geometry import PickReport
-from .series import Monomial, TruncatedSeries
 from .words import (
     DEFAULT_WORD_CAP,
     EnumerationCapError,
     FibWord,
-    checked_total_word_count,
-    iter_word_digits,
     successor_digits,
     validate_alphabet,
 )
@@ -54,26 +49,6 @@ def lattice_stats(w: FibWord) -> PickReport:
         raise AssertionError("bargraph boundary length must be even")
 
     return PickReport(area=len(cells), sper=boundary // 2, inn=inn)
-
-
-def brute_force_generating_series(
-    p: int, x_bound: int, cap: int = DEFAULT_WORD_CAP
-) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Both joint series (F, G), accumulated word by word from lattice statistics.
-
-    F records x^len y^area z^sper and G records x^len q^inn for every
-    word, in one scan.  The empty word contributes 1 to each.
-    """
-    checked_total_word_count(p, x_bound, cap)
-
-    f_terms: Counter = Counter({Monomial(): 1})
-    g_terms: Counter = Counter({Monomial(): 1})
-    for n in range(1, x_bound + 1):
-        for digits in iter_word_digits(p, n):
-            report = lattice_stats(FibWord(p, digits))
-            f_terms[Monomial(x=n, y=report.area, z=report.sper)] += 1
-            g_terms[Monomial(x=n, q=report.inn)] += 1
-    return TruncatedSeries(x_bound, f_terms), TruncatedSeries(x_bound, g_terms)
 
 
 def brute_force_area_distribution(

@@ -5,7 +5,9 @@ closed-form report (``geometry.pick_report``) and one cell-set report
 (``oracle.lattice_stats``), and every word-level check, the per-length
 totals and both word-by-word oracle series are accumulated from those two
 reports.  The oracle series are built from the cell-set report alone, so
-they stay independent of the closed forms they are compared with.
+they stay independent of the closed forms they are compared with.  This
+is the only place the word-by-word F and G series are built: ``oracle``
+imports nothing from ``series``, so the two meet only here.
 """
 
 from __future__ import annotations

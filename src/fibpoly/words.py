@@ -176,9 +176,12 @@ class FibWord:
 
     @classmethod
     def from_text(cls, p: int, text: str) -> "FibWord":
-        """Parse ``32321`` style digit strings (use commas when p > 9)."""
+        """Parse the text ``str`` writes: ``32321``, or ``12,11,12`` when p > 9.
+
+        Text for p > 9 is always split on commas, so ``10`` is one letter.
+        """
         text = text.strip()
-        if "," in text:
+        if "," in text or (p > 9 and text):
             digits = tuple(int(part) for part in text.split(","))
         else:
             digits = tuple(int(ch) for ch in text)

@@ -13,7 +13,6 @@ from fibpoly import (
     area_count_sequence,
     binary_to_word,
     brute_force_area_distribution,
-    brute_force_generating_series,
     closed_form_F,
     closed_form_G,
     composition_to_word,
@@ -39,6 +38,7 @@ from fibpoly.reference import (
     TABLE_TOTAL_SPER,
 )
 from fibpoly.series import Monomial
+from fibpoly.verify import run_verification
 
 M = Monomial
 
@@ -184,7 +184,8 @@ def test_c08_lattice_oracle_agreement():
         for n in range(1, 10):
             for w in enumerate_words(p, n):
                 assert lattice_stats(w) == pick_report(w)
-        assert brute_force_generating_series(p, 9) == (series_F_dp(p, 9), series_G_dp(p, 9))
+        checks = {c.name: c.passed for c in run_verification(p, 9)}
+        assert checks["oracle-series"]
     print("criterion 08 (lattice oracle = closed forms and transfer series): PASS")
 
 

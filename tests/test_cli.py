@@ -261,6 +261,12 @@ def test_stats_known_triple(capsys):
     assert (payload["area"], payload["sper"], payload["inn"]) == (6, 6, 1)
 
 
+def test_stats_one_letter_word_above_p_9(capsys):
+    code, out, _ = run_cli(capsys, "stats", "--p", "10", "--word", "10")
+    assert code == EXIT_OK
+    assert json.loads(out)["word"] == "10"
+
+
 def test_stats_invalid_word(capsys):
     code, _, err = run_cli(capsys, "stats", "--p", "3", "--word", "3212")
     assert code == EXIT_INVALID

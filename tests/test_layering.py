@@ -4,8 +4,9 @@
 ``verify`` -> ``cli``: a module may import only modules of a lower layer,
 so modules of one layer never import each other.  ``reference`` (the
 published tables) shares the bottom layer with ``words`` and so imports
-nothing from the package.  Imports are read from the source with
-``ast``, so nothing is executed.
+nothing from the package.  ``oracle`` checks the series kernel, so of the
+modules below it, it imports only ``words`` and ``geometry``.  Imports are
+read from the source with ``ast``, so nothing is executed.
 """
 
 import ast
@@ -61,3 +62,6 @@ def test_imports_go_down_the_layers(module):
     upward = sorted(name for name in imported if LAYER[name] >= LAYER[module])
     assert upward == [], f"{module} imports {upward} from its own layer or above"
 
+
+def test_oracle_does_not_import_the_series_kernel():
+    assert package_imports(PACKAGE / "oracle.py") == {"words", "geometry"}

@@ -18,10 +18,12 @@ from fibpoly import (
     PickReport,
     area_count_sequence,
     brute_force_area_distribution,
-    brute_force_generating_series,
     lattice_stats,
+    series_F_dp,
+    series_G_dp,
 )
 from fibpoly import geometry
+from fibpoly.verify import run_verification
 from fibpoly.words import iter_word_digits
 
 
@@ -113,16 +115,14 @@ def test_lattice_stats_rejects_empty_word():
         lattice_stats(FibWord(3, ()))
 
 
-def test_brute_series_order_zero_is_one():
-    for p in (1, 2, 5):
-        for s in brute_force_generating_series(p, 0):
-            assert s.terms == {Monomial(): 1}
+def oracle_series_passes(p, n_max):
+    """Whether ``run_verification``'s word-by-word series equal the transfer series."""
+    return {c.name: c.passed for c in run_verification(p, n_max)}["oracle-series"]
 
 
-def test_brute_series_area_sper_small():
+def test_oracle_series_area_sper_small():
     # p=2 words: 2 | 21, 22 | 212, 221, 222, statistics counted by hand
-    s, _ = brute_force_generating_series(2, 3)
-    assert s.terms == {
+    assert series_F_dp(2, 3).terms == {
         Monomial(): 1,
         Monomial(x=1, y=2, z=3): 1,
         Monomial(x=2, y=3, z=4): 1,
@@ -131,22 +131,18 @@ def test_brute_series_area_sper_small():
         Monomial(x=3, y=5, z=5): 1,
         Monomial(x=3, y=6, z=5): 1,
     }
+    assert oracle_series_passes(2, 3)
 
 
-def test_brute_series_inner_small():
+def test_oracle_series_inner_small():
     # p=3 words of length <= 2: 3 | 32, 33
-    _, s = brute_force_generating_series(3, 2)
-    assert s.terms == {
+    assert series_G_dp(3, 2).terms == {
         Monomial(): 1,
         Monomial(x=1): 1,
         Monomial(x=2, q=1): 1,
         Monomial(x=2, q=2): 1,
     }
-
-
-def test_brute_series_respects_cap():
-    with pytest.raises(EnumerationCapError):
-        brute_force_generating_series(2, 10, cap=10)
+    assert oracle_series_passes(3, 2)
 
 
 def test_area_distribution_known_rows():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibpoly import (
     EnumerationCapError,
@@ -127,6 +129,33 @@ def test_fibword_text_roundtrip():
     assert FibWord.from_text(3, "") == FibWord(3, ())
     assert FibWord.from_text(3, "  ") == FibWord(3, ())
     assert FibWord.from_text(12, "12,11,12").digits == (12, 11, 12)
+    assert FibWord.from_text(12, "") == FibWord(12, ())
+    assert FibWord.from_text(3, "3,2,1").digits == (3, 2, 1)
+
+
+def test_fibword_text_roundtrip_on_all_small_words():
+    # one-letter words with p > 9 are written without a comma
+    for p in range(1, 17):
+        for n in range(6):
+            for digits in iter_word_digits(p, n):
+                w = FibWord(p, digits)
+                assert FibWord.from_text(p, str(w)) == w
+
+
+@st.composite
+def fib_words(draw):
+    """A word with p <= 64 and length <= 12: after each digit, restart at p or step down."""
+    p = draw(st.integers(1, 64))
+    digits = [p]
+    for restart in draw(st.lists(st.booleans(), max_size=11)):
+        digits.append(p if restart or digits[-1] == 1 else digits[-1] - 1)
+    return FibWord(p, tuple(digits))
+
+
+@settings(max_examples=50)
+@given(fib_words())
+def test_fibword_text_roundtrip_on_drawn_words(w):
+    assert FibWord.from_text(w.p, str(w)) == w
 
 
 # ---------------------------------------------------------------------------
