@@ -10,8 +10,19 @@ bit per transition: 1 for a descent, 0 for a reset to p).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .words import FibWord, parts_set, validate_alphabet
+
+
+@cache
+def _blocks(p: int) -> Mapping[int, tuple[int, ...]]:
+    """Each block sum for p mapped to its descending block p, p-1, ..., i, built once per p."""
+    return MappingProxyType(
+        {part: tuple(range(p, i - 1, -1)) for part, i in zip(parts_set(p), range(p, 0, -1))}
+    )
 
 
 @dataclass(frozen=True)
@@ -24,12 +35,12 @@ class Composition:
     def __post_init__(self):
         validate_alphabet(self.p)
         object.__setattr__(self, "parts", tuple(self.parts))
-        allowed = set(parts_set(self.p))
+        blocks = _blocks(self.p)
         for part in self.parts:
-            if part not in allowed:
+            if part not in blocks:
                 raise ValueError(
                     f"part {part} is not a block sum for p={self.p} "
-                    f"(allowed: {sorted(allowed)})"
+                    f"(allowed: {sorted(blocks)})"
                 )
 
     def total(self) -> int:
@@ -49,7 +60,7 @@ class BinaryWord:
     def __post_init__(self):
         validate_alphabet(self.p)
         object.__setattr__(self, "bits", tuple(self.bits))
-        if any(bit not in (0, 1) for bit in self.bits):
+        if not {*self.bits} <= {0, 1}:
             raise ValueError(f"bits must be 0 or 1: {list(self.bits)}")
         run = 0
         for bit in self.bits:
@@ -86,10 +97,10 @@ def composition_to_word(c: Composition) -> FibWord:
     The part p + (p-1) + ... + i becomes the block p, p-1, ..., i; parts
     admitting no such expansion are rejected when the composition is built.
     """
-    block_start = dict(zip(parts_set(c.p), range(c.p, 0, -1)))
+    blocks = _blocks(c.p)
     digits: list[int] = []
     for part in c.parts:
-        digits.extend(range(c.p, block_start[part] - 1, -1))
+        digits.extend(blocks[part])
     return FibWord(c.p, tuple(digits))
 
 

@@ -45,10 +45,21 @@ def inner_points(w: FibWord) -> int:
 
 
 def pick_report(w: FibWord) -> PickReport:
-    """Assemble the three statistics for a non-empty word."""
-    if not w.digits:
+    """The three statistics of a non-empty word, from one pass over its digit pairs.
+
+    The forms are those of ``area``, ``semiperimeter`` and ``inner_points``:
+    the digit sum, length + first digit + sum of ascents, and the sum of
+    min(neighbor heights) - 1; each is summed on its own.
+    """
+    d = w.digits
+    if not d:
         raise ValueError("statistics report requires a non-empty word")
-    return PickReport(area=area(w), sper=semiperimeter(w), inn=inner_points(w))
+    ascents = inn = 0
+    for a, b in zip(d, d[1:]):
+        if b > a:
+            ascents += b - a
+        inn += (a if a < b else b) - 1
+    return PickReport(area=sum(d), sper=len(d) + d[0] + ascents, inn=inn)
 
 
 def render_ascii(w: FibWord, glyph: str = "#") -> str:

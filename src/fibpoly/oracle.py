@@ -3,11 +3,13 @@
 Everything in this module is deliberately naive.  Statistics are counted
 directly on an explicit cell set by neighbour lookup: a cell side is a
 boundary edge when the cell across it is absent, and a lattice point is
-inner when its four surrounding cells are all present.  Area counts come
-from a pruned search over words.  None of it reuses the formula-based
-implementations in ``geometry`` or ``series`` (digit sums, ascents,
-minima of neighbouring digits), and nothing here imports ``series``:
-independence is the point, so the duplication is intentional.
+inner when its four surrounding cells are all present.  The cell set is
+held as one bit mask per column, so each lookup covers a whole column at
+once and every count is a popcount.  Area counts come from a pruned search
+over words.  None of it reuses the formula-based implementations in
+``geometry`` or ``series`` (digit sums, ascents, minima of neighbouring
+digits), and nothing here imports ``series``: independence is the point,
+so the duplication is intentional.
 """
 
 from __future__ import annotations
@@ -25,30 +27,39 @@ from .words import (
 def lattice_stats(w: FibWord) -> PickReport:
     """Statistics of a non-empty word counted on the embedded cell set.
 
-    Cells are indexed (column, row) with rows starting at 1, and every
-    statistic is read off the set by neighbour lookup.  A cell side is a
-    boundary edge exactly when the cell across it is absent; the
-    semi-perimeter is half the number of boundary edges.  An inner point is
-    a lattice point whose four surrounding cells are all present; each is
-    counted once, from the cell whose upper-right corner it is.  Nothing
-    here uses the digit-based formulas of ``geometry``, so the report
-    checks them instead of repeating them.
+    Cells are indexed (column, row) with rows starting at 1.  Column i is
+    held as a bit mask ``col`` whose bit j-1 is cell (i, j), with empty
+    columns 0 and n+1 on either side, and every statistic is read off the
+    masks by neighbour lookup.  A cell side is a boundary edge exactly when
+    the cell across it is absent, so the boundary edges of a column are the
+    bits of ``col & ~nbr`` for each neighbour mask: the columns to the left
+    and right, ``col << 1`` (the cells below) and ``col >> 1`` (the cells
+    above).  The semi-perimeter is half the number of boundary edges.  An
+    inner point is a lattice point whose four surrounding cells are all
+    present; each is counted once, from the cell whose upper-right corner
+    it is.  Nothing here uses the digit-based formulas of ``geometry``, so
+    the report checks them instead of repeating them.
     """
     if not w.digits:
         raise ValueError("lattice statistics require a non-empty word")
-    cells = {(i, j) for i, h in enumerate(w.digits, start=1) for j in range(1, h + 1)}
+    cols = [0, *[(1 << h) - 1 for h in w.digits], 0]
 
-    boundary = inn = 0
-    for i, j in cells:
-        left, below = (i - 1, j) in cells, (i, j - 1) in cells
-        right, above = (i + 1, j) in cells, (i, j + 1) in cells
-        # each of the four sides with no cell across it is a boundary edge
-        boundary += 4 - left - below - right - above
-        inn += right and above and (i + 1, j + 1) in cells
+    area = boundary = inn = 0
+    for left, col, right in zip(cols, cols[1:], cols[2:]):
+        area += col.bit_count()
+        # each cell side with no cell across it is a boundary edge
+        boundary += (
+            (col & ~left).bit_count()
+            + (col & ~right).bit_count()
+            + (col & ~(col << 1)).bit_count()
+            + (col & ~(col >> 1)).bit_count()
+        )
+        # cells whose right, upper and upper-right neighbours are all present
+        inn += (col & right & (col >> 1) & (right >> 1)).bit_count()
     if boundary % 2:
         raise AssertionError("bargraph boundary length must be even")
 
-    return PickReport(area=len(cells), sper=boundary // 2, inn=inn)
+    return PickReport(area=area, sper=boundary // 2, inn=inn)
 
 
 def brute_force_area_distribution(

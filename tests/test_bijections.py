@@ -44,6 +44,21 @@ def test_composition_rejects_invalid_parts():
         Composition(2, (2, 1))
 
 
+def test_block_tables_do_not_leak_across_p():
+    # the block tables are kept per p: a part valid for one p stays invalid for another
+    assert Composition(3, (5,)).parts == (5,)
+    with pytest.raises(ValueError):
+        Composition(2, (5,))
+    assert Composition(64, (2080, 64)).total() == 2144
+    with pytest.raises(ValueError):
+        Composition(3, (2080,))
+    for p in (1, 2, 3, 64, 3, 1):
+        for n in range(1, 6):
+            for w in enumerate_words(p, n):
+                assert composition_to_word(word_to_composition(w)) == w
+    assert str(composition_to_word(Composition(2, (3, 2)))) == "212"
+
+
 def test_composition_total_is_area():
     for p in (2, 3, 4):
         for n in range(0, 9):

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import fibpoly
-from fibpoly import bijections, oracle, series
+from fibpoly import bijections, geometry, oracle, series
 from fibpoly.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -230,19 +230,26 @@ def test_words_listing_memory_does_not_grow_with_the_word_count():
     src = str(Path(fibpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # On Linux ru_maxrss carries the parent's peak across fork and exec, so
+    # the child reads its own high-water mark, VmHWM, which exec resets.
     child = (
         "import resource, sys\n"
         "from fibpoly import cli\n"
         "code = cli.main(['words', '--p', '3', '--n', '22'])\n"
         "sys.stdout.flush()\n"
-        "sys.stderr.write(f'{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}')\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        peak = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "else:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "sys.stderr.write(f'{code} {peak}')\n"
     )
     proc = subprocess.run([sys.executable, "-c", child], stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, env=env, timeout=120, check=True)
-    code, maxrss = map(int, proc.stderr.split())
+    code, peak = map(int, proc.stderr.split())
     assert code == EXIT_OK
-    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere
-    peak_mb = maxrss / 2**20 if sys.platform == "darwin" else maxrss / 2**10
+    # VmHWM is in kilobytes; ru_maxrss is in bytes on macOS and in kilobytes elsewhere
+    peak_mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
     assert peak_mb < 64
 
 
@@ -500,6 +507,14 @@ def _inner_off_by_one(real):
     return lattice_stats
 
 
+def _semiperimeter_plus_one(real):
+    def pick_report(w):
+        r = real(w)
+        return PickReport(r.area, r.sper + 1, r.inn)
+
+    return pick_report
+
+
 def _binary_of_other_word(real):
     def word_to_binary(w):
         return real(FibWord.from_text(3, "3233") if str(w) == "3232" else w)
@@ -556,6 +571,8 @@ def _parts_5_5_to_other_word(real):
         (series, "closed_form_G", _closed_form_of_next_p, {"transfer-vs-closed-form"}),
         (bijections, "composition_to_word", _parts_5_5_to_other_word,
          {"composition-roundtrip"}),
+        (geometry, "pick_report", _semiperimeter_plus_one,
+         {"pick-identity-per-word", "aggregate-identity", "totals-vs-series", "lattice-oracle"}),
     ],
 )
 def test_verify_detects_corrupted_input(capsys, monkeypatch, module, attr, corrupt, failing):

@@ -4,9 +4,10 @@
 ``verify`` -> ``cli``: a module may import only modules of a lower layer,
 so modules of one layer never import each other.  ``reference`` (the
 published tables) shares the bottom layer with ``words`` and so imports
-nothing from the package.  ``oracle`` checks the series kernel, so of the
-modules below it, it imports only ``words`` and ``geometry``.  Imports are
-read from the source with ``ast``, so nothing is executed.
+nothing from the package.  ``oracle`` checks the series kernel and the
+closed forms, so of the modules below it, it imports only ``words`` and,
+from ``geometry``, only the ``PickReport`` type.  Imports are read from the
+source with ``ast``, so nothing is executed.
 """
 
 import ast
@@ -65,3 +66,25 @@ def test_imports_go_down_the_layers(module):
 
 def test_oracle_does_not_import_the_series_kernel():
     assert package_imports(PACKAGE / "oracle.py") == {"words", "geometry"}
+
+
+def names_imported_from(path: Path, module: str) -> set[str]:
+    """Names that the module at ``path`` binds from the fibpoly module ``module``.
+
+    An import of the module itself, in any form, adds the module's own name.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in ((1, module), (0, f"fibpoly.{module}")):
+                found.update(alias.name for alias in node.names)
+            elif (node.level, node.module) in ((1, None), (0, "fibpoly")):
+                found.update(alias.name for alias in node.names if alias.name == module)
+        elif isinstance(node, ast.Import):
+            found.update(module for alias in node.names
+                         if alias.name == f"fibpoly.{module}")
+    return found
+
+
+def test_oracle_takes_only_the_report_type_from_geometry():
+    assert names_imported_from(PACKAGE / "oracle.py", "geometry") == {"PickReport"}

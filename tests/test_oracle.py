@@ -8,7 +8,7 @@ itself against the code it exists to validate.
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibpoly import (
@@ -83,19 +83,39 @@ def test_lattice_stats_matches_edge_count_on_all_small_words():
         assert lattice_stats(w) == edge_count_reference(w), w
 
 
-@st.composite
-def fib_words(draw):
-    """A word with p <= 64 and length <= 40: after each digit, restart at p or step down."""
-    p = draw(st.integers(1, 64))
+def restart_word(p, restarts):
+    """The word that starts at p and, after each digit, restarts at p or steps down."""
     digits = [p]
-    for restart in draw(st.lists(st.booleans(), max_size=39)):
+    for restart in restarts:
         digits.append(p if restart or digits[-1] == 1 else digits[-1] - 1)
     return FibWord(p, tuple(digits))
+
+
+@st.composite
+def fib_words(draw):
+    """A word with p <= 64 and length <= 40."""
+    return restart_word(draw(st.integers(1, 64)), draw(st.lists(st.booleans(), max_size=39)))
+
+
+@st.composite
+def long_fib_words(draw):
+    """A word with p <= 64 and a length drawn from 1 .. 300, so most words are long."""
+    p, n = draw(st.integers(1, 64)), draw(st.integers(1, 300))
+    return restart_word(p, draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
 
 
 @given(fib_words())
 def test_lattice_stats_matches_edge_count_on_drawn_words(w):
     assert lattice_stats(w) == edge_count_reference(w)
+
+
+@settings(max_examples=50, deadline=None)
+@given(long_fib_words())
+def test_lattice_stats_and_pick_report_on_long_drawn_words(w):
+    assert lattice_stats(w) == edge_count_reference(w)
+    assert geometry.pick_report(w) == PickReport(
+        geometry.area(w), geometry.semiperimeter(w), geometry.inner_points(w)
+    )
 
 
 def test_lattice_stats_does_not_call_the_closed_forms(monkeypatch):
@@ -105,7 +125,7 @@ def test_lattice_stats_does_not_call_the_closed_forms(monkeypatch):
     def forbidden(w):
         raise AssertionError("the oracle must not use the closed forms")
 
-    for name in ("area", "semiperimeter", "inner_points"):
+    for name in ("area", "semiperimeter", "inner_points", "pick_report"):
         monkeypatch.setattr(geometry, name, forbidden)
     assert [lattice_stats(w) for w in sample] == expected
 
